@@ -5,9 +5,14 @@ text), geometry (CSG solids, STL, voxel grids), dataset (paired corpus and
 its codecs), encoders (text and shape networks), training (bidirectional
 triplet objective), doe (orthogonal-experiment tuning), retrieval (gallery
 index and queries), cli (batch front end).
+
+The submodules load on first attribute access (PEP 562), so importing the
+package loads no numpy and `rodfind --threads` can still pin the BLAS pool.
+The taxonomy re-exports below use the standard library only.
 """
 
-from . import dataset, doe, encoders, geometry, retrieval, taxonomy, training
+import importlib
+
 from .taxonomy import (
     FeatureSchema,
     FeatureTriplet,
@@ -22,3 +27,12 @@ from .taxonomy import (
 )
 
 __version__ = "0.1.0"
+
+_SUBMODULES = frozenset({"cli", "dataset", "doe", "encoders", "geometry", "nn",
+                         "retrieval", "training"})
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,13 @@ cache, backward consumes the cache and the output cotangent and returns the
 input cotangent plus parameter gradients. All functions work in whatever
 float dtype the parameters carry (float32 for training, float64 for
 finite-difference checks).
+
+Two rules keep numpy's calls cheap. Every GEMM runs on 2-D operands:
+batched inputs are reshaped to (rows, features) first and the result is
+reshaped back, since `@` on a stack of matrices runs one small GEMM per
+leading index. A weight used transposed inside a per-step loop is made
+contiguous once per call, not read through the transposed view each step;
+with a single row to multiply, the view is as fast and the copy is skipped.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit as _sigmoid
 
 L2_EPS = 1e-12
@@ -47,8 +55,9 @@ def conv1d_forward(x, w, b):
     xp = np.zeros((B, L + 2, cin), dtype=x.dtype)
     xp[:, 1:-1] = x
     cols = np.concatenate([xp[:, 0:L], xp[:, 1:L + 1], xp[:, 2:L + 2]], axis=2)
+    cols = cols.reshape(B * L, 3 * cin)
     wmat = w.transpose(2, 1, 0).reshape(3 * cin, cout)
-    y = cols @ wmat + b
+    y = (cols @ wmat + b).reshape(B, L, cout)
     return y, (cols, wmat, x.shape, w.shape)
 
 
@@ -56,10 +65,10 @@ def conv1d_backward(cache, dy):
     cols, wmat, x_shape, w_shape = cache
     B, L, cin = x_shape
     cout = w_shape[0]
-    dwmat = cols.reshape(-1, 3 * cin).T @ dy.reshape(-1, cout)
-    dw = dwmat.reshape(3, cin, cout).transpose(2, 1, 0)
-    db = dy.sum(axis=(0, 1))
-    dcols = dy @ wmat.T
+    dy2 = dy.reshape(B * L, cout)
+    dw = (dy2.T @ cols).reshape(cout, 3, cin).transpose(0, 2, 1)
+    db = dy2.sum(axis=0)
+    dcols = (dy2 @ wmat.T).reshape(B, L, 3 * cin)
     dxp = np.zeros((B, L + 2, cin), dtype=dy.dtype)
     dxp[:, 0:L] += dcols[:, :, 0:cin]
     dxp[:, 1:L + 1] += dcols[:, :, cin:2 * cin]
@@ -70,21 +79,26 @@ def conv1d_backward(cache, dy):
 # ---------------------------------------------------------------------------
 # 3-d convolution (kernel 3, configurable stride and padding), channels last
 
-def conv3d_forward(x, w, b, stride, pad):
-    """x: (B, D, D, D, Cin); w: (Cout, Cin, 3, 3, 3)."""
-    B, D = x.shape[0], x.shape[1]
-    cin, cout = x.shape[4], w.shape[0]
+def _im2col3d(x, stride, pad):
+    """Columns of every 3x3x3 window of x: (B * out^3, 27 * Cin), window
+    offsets outermost, then channels; also returns out."""
+    B, D, cin = x.shape[0], x.shape[1], x.shape[4]
     out = (D + 2 * pad - 3) // stride + 1
     xp = np.zeros((B, D + 2 * pad, D + 2 * pad, D + 2 * pad, cin), dtype=x.dtype)
     xp[:, pad:pad + D, pad:pad + D, pad:pad + D] = x
-    span = stride * (out - 1) + 1
-    cols = np.empty((B, out, out, out, 27, cin), dtype=x.dtype)
-    for i, (a, b_, c) in enumerate(itertools.product(range(3), repeat=3)):
-        cols[:, :, :, :, i] = xp[:, a:a + span:stride, b_:b_ + span:stride,
-                                 c:c + span:stride]
-    cols = cols.reshape(B, out, out, out, 27 * cin)
-    wmat = w.transpose(2, 3, 4, 1, 0).reshape(27 * cin, cout)
-    y = cols @ wmat + b
+    windows = sliding_window_view(xp, (3, 3, 3), axis=(1, 2, 3))[
+        :, ::stride, ::stride, ::stride]  # (B, out, out, out, Cin, 3, 3, 3)
+    return windows.transpose(0, 1, 2, 3, 5, 6, 7, 4).reshape(B * out ** 3, 27 * cin), out
+
+
+def conv3d_forward(x, w, b, stride, pad):
+    """x: (B, D, D, D, Cin); w: (Cout, Cin, 3, 3, 3)."""
+    B, cin, cout = x.shape[0], x.shape[4], w.shape[0]
+    cols, out = _im2col3d(x, stride, pad)
+    # (27 * Cin, Cout) as the transpose of a copy that keeps Cout outermost,
+    # which moves memory in far longer runs than copying to this layout
+    wmat = w.transpose(0, 2, 3, 4, 1).reshape(cout, 27 * cin).T
+    y = (cols @ wmat + b).reshape(B, out, out, out, cout)
     return y, (cols, wmat, x.shape, w.shape, stride, pad, out)
 
 
@@ -92,14 +106,20 @@ def conv3d_backward(cache, dy):
     cols, wmat, x_shape, w_shape, stride, pad, out = cache
     B, D = x_shape[0], x_shape[1]
     cin, cout = x_shape[4], w_shape[0]
-    dwmat = cols.reshape(-1, 27 * cin).T @ dy.reshape(-1, cout)
-    dw = dwmat.reshape(3, 3, 3, cin, cout).transpose(4, 3, 0, 1, 2)
-    db = dy.sum(axis=(0, 1, 2, 3))
-    dcols = (dy @ wmat.T).reshape(B, out, out, out, 27, cin)
+    dy2 = dy.reshape(-1, cout)
+    dw = (dy2.T @ cols).reshape(cout, 27, cin).transpose(0, 2, 1).reshape(w_shape)
+    db = dy2.sum(axis=0)
+    if stride == 1 and pad == 1:
+        # dx is the same-padded correlation of dy with the kernel flipped in
+        # space and transposed in channels: window offset i becomes 26 - i
+        wflip = wmat.reshape(27, cin, cout)[::-1].transpose(0, 2, 1).reshape(27 * cout, cin)
+        dcols, _ = _im2col3d(dy, 1, 1)
+        return (dcols @ wflip).reshape(x_shape), dw, db
+    dcols = (dy2 @ wmat.T).reshape(B, out, out, out, 27, cin)
     dxp = np.zeros((B, D + 2 * pad, D + 2 * pad, D + 2 * pad, cin), dtype=dy.dtype)
     span = stride * (out - 1) + 1
-    for i, (a, b_, c) in enumerate(itertools.product(range(3), repeat=3)):
-        dxp[:, a:a + span:stride, b_:b_ + span:stride, c:c + span:stride] += dcols[:, :, :, :, i]
+    for i, (a, b, c) in enumerate(itertools.product(range(3), repeat=3)):
+        dxp[:, a:a + span:stride, b:b + span:stride, c:c + span:stride] += dcols[:, :, :, :, i]
     return dxp[:, pad:pad + D, pad:pad + D, pad:pad + D], dw, db
 
 
@@ -172,21 +192,24 @@ def gru_forward(x, lengths, w_ih, w_hh, b_ih, b_hh, want_trace=True):
     B, L, _ = x.shape
     H = w_hh.shape[1]
     steps = int(min(L, max((int(n) for n in lengths), default=0)))
-    gx_all = x @ w_ih.T + b_ih  # (B, L, 3H)
+    gx_all = (x.reshape(B * L, -1) @ w_ih.T + b_ih).reshape(B, L, 3 * H)
+    # a single row multiplies the transposed view as fast as a copy
+    w_hh_t = np.ascontiguousarray(w_hh.T) if B > 1 else w_hh.T
     h = np.zeros((B, H), dtype=x.dtype)
     lengths = np.asarray(lengths)
     denom = np.maximum(lengths, 1)[:, None].astype(x.dtype)
+    actives = (np.arange(steps)[:, None] < lengths[None, :])[:, :, None]
     pooled = np.zeros((B, H), dtype=x.dtype)
     trace = []
     for t in range(steps):
-        gh = h @ w_hh.T + b_hh
+        gh = h @ w_hh_t + b_hh
         gx = gx_all[:, t]
-        r = _sigmoid(gx[:, :H] + gh[:, :H])
-        z = _sigmoid(gx[:, H:2 * H] + gh[:, H:2 * H])
+        rz = _sigmoid(gx[:, :2 * H] + gh[:, :2 * H])
+        r, z = rz[:, :H], rz[:, H:]
         gh_n = gh[:, 2 * H:]
         n = np.tanh(gx[:, 2 * H:] + r * gh_n)
         h_new = (1.0 - z) * n + z * h
-        active = (t < lengths)[:, None]
+        active = actives[t]
         h_next = np.where(active, h_new, h)
         pooled += np.where(active, h_next, 0.0)
         if want_trace:
@@ -201,32 +224,31 @@ def gru_backward(cache, dpool):
     B, L, _ = x.shape
     H = w_hh.shape[1]
     dgx_all = np.zeros_like(gx_all)
-    dw_hh = np.zeros_like(w_hh)
-    db_hh = np.zeros(3 * H, dtype=x.dtype)
+    dgh_all = np.empty((steps, B, 3 * H), dtype=x.dtype)
     dper_step = dpool / denom
     dh = np.zeros((B, H), dtype=x.dtype)
     for t in range(steps - 1, -1, -1):
         h_prev, r, z, n, gh_n, active = trace[t]
         dh = dh + np.where(active, dper_step, 0.0)
         dh_new = np.where(active, dh, 0.0)
-        dh_skip = np.where(active, 0.0, dh)
         dz = dh_new * (h_prev - n)
         dn = dh_new * (1.0 - z)
-        dh_prev = dh_new * z + dh_skip
         dn_pre = dn * (1.0 - n * n)
-        dgx_n = dn_pre
-        dgh_n = dn_pre * r
-        dr = dn_pre * gh_n
-        dr_pre = dr * r * (1.0 - r)
-        dz_pre = dz * z * (1.0 - z)
-        dgh = np.concatenate([dr_pre, dz_pre, dgh_n], axis=1)
-        dgx_all[:, t, :H] = dr_pre
-        dgx_all[:, t, H:2 * H] = dz_pre
-        dgx_all[:, t, 2 * H:] = dgx_n
-        dw_hh += dgh.T @ h_prev
-        db_hh += dgh.sum(axis=0)
-        dh = dh_prev + dgh @ w_hh
-    dx = dgx_all @ w_ih
-    dw_ih = dgx_all.reshape(-1, 3 * H).T @ x.reshape(B * L, -1)
-    db_ih = dgx_all.sum(axis=(0, 1))
+        dgh = dgh_all[t]
+        dgh[:, :H] = dn_pre * gh_n * r * (1.0 - r)
+        dgh[:, H:2 * H] = dz * z * (1.0 - z)
+        dgh[:, 2 * H:] = dn_pre * r
+        dgx_all[:, t, :2 * H] = dgh[:, :2 * H]
+        dgx_all[:, t, 2 * H:] = dn_pre
+        # dh - dn is dh * z on an active row and dh itself (dn = 0) on a masked one
+        dh = dh - dn + dgh @ w_hh
+    # the weight gradients of all steps in one GEMM; a masked step's dgh is 0
+    dgh_all = dgh_all.reshape(steps * B, 3 * H)
+    h_prev_all = np.array([step[0] for step in trace], dtype=x.dtype).reshape(steps * B, H)
+    dw_hh = dgh_all.T @ h_prev_all
+    db_hh = dgh_all.sum(axis=0)
+    dgx2 = dgx_all.reshape(B * L, 3 * H)
+    dx = (dgx2 @ w_ih).reshape(x.shape)
+    dw_ih = dgx2.T @ x.reshape(B * L, -1)
+    db_ih = dgx2.sum(axis=0)
     return dx, dw_ih, dw_hh, db_ih, db_hh

@@ -151,7 +151,11 @@ def query(text: str, index: ShapeIndex, checkpoint: enc.Checkpoint,
     if k > len(index):
         warnings.warn(f"k={k} exceeds the gallery size {len(index)}; clamping")
         k = len(index)
-    order = sorted(range(len(index)), key=lambda j: (dists[j], index.ids[j]))
+    # only entries at or below the k-th smallest distance can place, ties
+    # at it included; order just those by (distance, id)
+    kth = np.partition(dists, k - 1)[k - 1]
+    near = np.flatnonzero(dists <= kth)
+    order = sorted(near, key=lambda j: (dists[j], index.ids[j]))
     matches = [(index.ids[j], float(dists[j])) for j in order[:k]]
     return QueryResult(text, k, matches)
 

@@ -8,6 +8,7 @@ averages the hinge over anchors.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -198,22 +199,31 @@ class _Moments:
 
 
 def _update(params, grads, state, step, config):
-    lr = config.learning_rate
-    if config.optimizer == "adam":
-        # fold both bias corrections into the step size
-        lr = lr * np.sqrt(1.0 - config.beta2 ** step) / (1.0 - config.beta1 ** step)
+    if config.optimizer == "sgd":
+        for name, array in params.named_arrays():
+            array -= config.learning_rate * grads[name].astype(array.dtype)
+        return
+    b1, b2 = config.beta1, config.beta2
+    # fold both bias corrections into the step size; a Python float keeps
+    # the arithmetic in the parameters' dtype
+    lr = float(config.learning_rate) * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
     for name, array in params.named_arrays():
-        g = grads[name].astype(array.dtype)
-        if config.optimizer == "sgd":
-            array -= config.learning_rate * g
-            continue
-        m = state.m[name]
-        v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        array -= lr * m / (np.sqrt(v) + config.eps)
+        # conv weight gradients are transposed views: copy them to the
+        # parameters' layout once, then update in place through one temporary
+        g = np.ascontiguousarray(grads[name], dtype=array.dtype)
+        m, v = state.m[name], state.v[name]
+        tmp = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += tmp
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += config.eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr
+        array -= tmp
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +338,11 @@ def recall_from_embeddings(text_embs, shape_embs, ids, k: int) -> float:
         raise TrainingError("evaluation set is empty")
     dists = pairwise_distances(text_embs, shape_embs)
     id_rank = np.argsort(np.argsort(ids))  # lexicographic rank per gallery entry
-    hits = 0
-    for i in range(len(ids)):
-        keys = list(zip(dists[i], id_rank))
-        order = sorted(range(len(ids)), key=lambda j: keys[j])
-        hits += i in order[:k]
+    # rank of text i's own shape under the (distance, id) order: the entries
+    # strictly closer, plus the equally close ones with a smaller id
+    own = np.diag(dists)[:, None]
+    ahead = (dists < own) | ((dists == own) & (id_rank[None, :] < id_rank[:, None]))
+    hits = int((ahead.sum(axis=1) < k).sum())
     return hits / len(ids)
 
 

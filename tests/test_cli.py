@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,24 @@ def workspace(tmp_path_factory):
                      "--out", str(index), "--split", "all"])
     assert code == 0
     return root, data, ckpt, index
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    # --threads sets the BLAS thread variables in dispatch(); they only take
+    # effect if numpy has not been loaded by then
+    import rodfind
+
+    code = ("import sys, rodfind\n"
+            "from rodfind import LinkingRodSpec\n"
+            "import rodfind.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded on import'\n"
+            "assert rodfind.nn.conv3d_forward and rodfind.geometry.voxelize\n"
+            "assert 'numpy' in sys.modules\n")
+    src = str(Path(rodfind.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_no_arguments_prints_usage_and_exits_1(capsys):

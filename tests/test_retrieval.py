@@ -105,6 +105,23 @@ class TestQuery:
         expected = sorted(range(len(index)), key=lambda j: (dists[j], index.ids[j]))
         assert [m[0] for m in result.matches] == [index.ids[j] for j in expected]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_ties_at_the_kth_distance_break_by_id(self, gallery, k):
+        samples, checkpoint, index = gallery
+        # every embedding three times over, under ids that do not follow the
+        # gallery order, so equal distances straddle the k-th place
+        n = len(index)
+        ids = [f"x{(7 * i) % (3 * n):03d}" for i in range(3 * n)]
+        tied = rt.ShapeIndex(ids, np.tile(index.embeddings, (3, 1)), [""] * (3 * n),
+                             index.texts * 3, index.fingerprint, index.resolution)
+        result = rt.query(samples[3].text, tied, checkpoint, k=k)
+        full = rt.query(samples[3].text, tied, checkpoint, k=3 * n)
+        assert result.matches == full.matches[:k]
+        distances = [d for _, d in full.matches]
+        assert distances == sorted(distances)
+        for (a, da), (b, db) in zip(full.matches, full.matches[1:]):
+            assert da < db or a < b
+
     def test_fingerprint_mismatch_rejected(self, gallery):
         samples, checkpoint, index = gallery
         other_t, other_s = enc.init_params(checkpoint.text.config.vocab_size, seed=99,

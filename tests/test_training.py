@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodfind import dataset as ds
 from rodfind import encoders as enc
@@ -249,6 +251,72 @@ class TestGradients:
             assert np.allclose(tg2[name], tg0[name] + 2.0 * s2t_part, atol=1e-12)
 
 
+class _Params:
+    """A conv-like weight, a bias and a dense weight, for the optimizer."""
+
+    def __init__(self, rng, dtype):
+        self.w = rng.standard_normal((6, 5, 3)).astype(dtype)
+        self.b = rng.standard_normal(7).astype(dtype)
+        self.fc = rng.standard_normal((4, 9)).astype(dtype)
+
+    def named_arrays(self):
+        return [("w", self.w), ("b", self.b), ("fc", self.fc)]
+
+
+def _gradients(rng, params):
+    """Random gradients; the dense one is a non-contiguous view, as conv
+    weight gradients are, and the bias one is float64."""
+    grads = {name: rng.standard_normal(a.shape).astype(a.dtype)
+             for name, a in params.named_arrays()}
+    grads["fc"] = np.ascontiguousarray(grads["fc"].T).T
+    grads["b"] = grads["b"].astype(np.float64)
+    return grads
+
+
+class TestOptimizer:
+    STEPS = 5
+
+    def test_adam_matches_a_float64_reference(self):
+        cfg = tr.TrainerConfig(learning_rate=1e-2, optimizer="adam")
+        rng = np.random.default_rng(12)
+        params = _Params(rng, np.float32)
+        state = tr._Moments(params)
+        ref = {name: a.astype(np.float64) for name, a in params.named_arrays()}
+        m = {name: np.zeros_like(a) for name, a in ref.items()}
+        v = {name: np.zeros_like(a) for name, a in ref.items()}
+        eps32 = np.finfo(np.float32).eps
+        for t in range(1, self.STEPS + 1):
+            grads = _gradients(rng, params)
+            assert not grads["fc"].flags.c_contiguous
+            tr._update(params, grads, state, t, cfg)
+            for name, array in params.named_arrays():
+                g = grads[name].astype(np.float64)
+                m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * g
+                v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
+                m_hat = m[name] / (1 - cfg.beta1 ** t)
+                v_hat = v[name] / (1 - cfg.beta2 ** t)
+                # Kingma & Ba's efficient form folds both corrections into the
+                # step size, which puts eps on sqrt(v) instead of sqrt(v_hat)
+                eps_hat = cfg.eps / np.sqrt(1 - cfg.beta2 ** t)
+                ref[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps_hat)
+                assert array.dtype == np.float32
+                # float32 rounding of the parameter and of the step, per step
+                tol = 2 * t * eps32 * (np.abs(ref[name]) + cfg.learning_rate)
+                assert (np.abs(array - ref[name]) <= tol).all(), name
+
+    def test_sgd_step_is_lr_times_gradient(self):
+        cfg = tr.TrainerConfig(learning_rate=0.3, optimizer="sgd")
+        rng = np.random.default_rng(13)
+        params = _Params(rng, np.float32)
+        before = {name: a.copy() for name, a in params.named_arrays()}
+        grads = _gradients(rng, params)
+        tr._update(params, grads, tr._Moments(params), 1, cfg)
+        for name, array in params.named_arrays():
+            expected = before[name] - cfg.learning_rate * grads[name].astype(np.float32)
+            assert array.dtype == np.float32
+            assert np.array_equal(array, expected), name
+
+
 class TestFit:
     def corpus(self):
         return ds.generate_variants(bases=1, per_base=6, seed=5)
@@ -328,6 +396,22 @@ class TestRecall:
         # text 0 is at distance 0 from both shapes; the tie resolves to id "a"
         # (gallery index 1), so text 0 misses and text 1 hits
         assert tr.recall_from_embeddings(texts, shapes, ["b", "a"], 1) == 0.5
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(1, 12), levels=st.integers(1, 3), k=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_a_full_sort_per_row_under_ties(self, n, levels, k, seed):
+        # embeddings on a coarse lattice repeat, so many distances tie
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, levels + 1, size=(n, 2)).astype(np.float64)
+        s = rng.integers(0, levels + 1, size=(n, 2)).astype(np.float64)
+        ids = [f"s{i:02d}" for i in rng.permutation(n)]
+        dists = tr.pairwise_distances(t, s)
+        hits = 0
+        for i in range(n):
+            order = sorted(range(n), key=lambda j: (dists[i, j], ids[j]))
+            hits += i in order[:k]
+        assert tr.recall_from_embeddings(t, s, ids, k) == hits / n
 
     def test_empty_eval_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
