@@ -12,7 +12,7 @@ spec = LinkingRodSpec(
     structure={"link": {"main structure": "binary link"},
                "shaft": {"main structure": "cuboid"}},
     sizes={"shaft": {"length": "large", "width": "medium", "thickness": "medium"},
-           "first pivot hole": {"inner diameter": "large",
+           "first pivot hole": {"inner diameter": "medium",
                                 "outer diameter": "large", "depth": "large"},
            "second pivot hole": {"inner diameter": "medium",
                                  "outer diameter": "medium", "depth": "small"}})

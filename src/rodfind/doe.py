@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import scipy.special
+
 from .errors import DesignError
 
 # Column layouts matching the published experiment tables (level indices,
@@ -224,59 +226,7 @@ def anova(design: DesignMatrix, responses) -> AnovaTable:
 
 
 # ---------------------------------------------------------------------------
-# F-distribution upper tail via the regularized incomplete beta function
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise DesignError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) with the standard symmetry switch for fast convergence."""
-    if a <= 0 or b <= 0:
-        raise DesignError("incomplete beta requires positive parameters")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
+# F-distribution upper tail
 
 def f_upper_p(f_value: float, df1: int, df2: int) -> float:
     """P(F(df1, df2) > f_value)."""
@@ -286,8 +236,7 @@ def f_upper_p(f_value: float, df1: int, df2: int) -> float:
         raise DesignError("degrees of freedom must be >= 1")
     if math.isinf(f_value):
         return 0.0
-    x = df2 / (df2 + df1 * f_value)
-    return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
+    return float(scipy.special.fdtrc(df1, df2, f_value))
 
 
 # ---------------------------------------------------------------------------

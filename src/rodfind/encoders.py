@@ -10,13 +10,22 @@ normalization. The stride-3 paddings (1, 1, 2) land the 16^3 input on 2^3
 ahead of the pool.
 
 Both forwards have exact reverse-mode counterparts used by the trainer.
+
+Parameters: each encoder keeps all of its parameters in one contiguous
+buffer (`Params.flat`) with named views into it (`Params.arrays`). The
+config's `layout()` fixes the views' names, shapes and order; that order is
+also the order of the checkpoint entries and of the initializer's random
+draws, and a backward returns its gradient in a buffer with the same layout.
+Updates write into the buffer in place and never rebind it, so the views
+stay valid.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-import re
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +51,22 @@ class TextEncoderConfig:
             raise EncoderError("vocab_size must be at least 2 (PAD and UNK)")
         if len(self.conv_channels) != 4:
             raise EncoderError("the text encoder has exactly four convolution layers")
+
+    def layout(self):
+        """(name, shape, fan_in) of every parameter in buffer order; fan_in
+        is None for the zero-initialized biases."""
+        e, h, f = self.embed_dim, self.gru_hidden, self.fc_hidden
+        # a lookup has a single active input, so fan_in is 1 (table entries U(-1, 1))
+        items = [("embed", (self.vocab_size, e), 1)]
+        cin = e
+        for i, cout in enumerate(self.conv_channels, start=1):
+            items += [(f"conv{i}_w", (cout, cin, 3), cin * 3), (f"conv{i}_b", (cout,), None)]
+            cin = cout
+        items += [("gru_w_ih", (3 * h, cin), cin), ("gru_w_hh", (3 * h, h), h),
+                  ("gru_b_ih", (3 * h,), None), ("gru_b_hh", (3 * h,), None),
+                  ("fc1_w", (f, h), h), ("fc1_b", (f,), None),
+                  ("fc2_w", (self.out_dim, f), f), ("fc2_b", (self.out_dim,), None)]
+        return items
 
 
 @dataclass(frozen=True)
@@ -83,140 +108,68 @@ class ShapeEncoderConfig:
             sizes.append(size)
         return sizes, sizes[-1] - 1
 
-
-@dataclass
-class TextEncoderParams:
-    config: TextEncoderConfig
-    embed: np.ndarray
-    conv_w: list[np.ndarray]
-    conv_b: list[np.ndarray]
-    gru_w_ih: np.ndarray
-    gru_w_hh: np.ndarray
-    gru_b_ih: np.ndarray
-    gru_b_hh: np.ndarray
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    fc2_w: np.ndarray
-    fc2_b: np.ndarray
-
-    def named_arrays(self):
-        items = [("embed", self.embed)]
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b), start=1):
-            items += [(f"conv{i}_w", w), (f"conv{i}_b", b)]
-        items += [("gru_w_ih", self.gru_w_ih), ("gru_w_hh", self.gru_w_hh),
-                  ("gru_b_ih", self.gru_b_ih), ("gru_b_hh", self.gru_b_hh),
-                  ("fc1_w", self.fc1_w), ("fc1_b", self.fc1_b),
-                  ("fc2_w", self.fc2_w), ("fc2_b", self.fc2_b)]
-        return items
-
-    def param_count(self):
-        return sum(a.size for _, a in self.named_arrays())
-
-    def astype(self, dtype):
-        return _cast(self, dtype)
-
-
-@dataclass
-class ShapeEncoderParams:
-    config: ShapeEncoderConfig
-    conv_w: list[np.ndarray]
-    conv_b: list[np.ndarray]
-    fc_w: np.ndarray
-    fc_b: np.ndarray
-
-    def named_arrays(self):
+    def layout(self):
+        """(name, shape, fan_in) of every parameter in buffer order; fan_in
+        is None for the zero-initialized biases."""
         items = []
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b), start=1):
-            items += [(f"conv{i}_w", w), (f"conv{i}_b", b)]
-        items += [("fc_w", self.fc_w), ("fc_b", self.fc_b)]
+        for i, (cin, cout, _, _) in enumerate(self.layer_plan(), start=1):
+            items += [(f"conv{i}_w", (cout, cin, 3, 3, 3), cin * 27),
+                      (f"conv{i}_b", (cout,), None)]
+        flat = self.back_channels[-1]
+        items += [("fc_w", (self.out_dim, flat), flat), ("fc_b", (self.out_dim,), None)]
         return items
 
-    def param_count(self):
-        return sum(a.size for _, a in self.named_arrays())
 
-    def astype(self, dtype):
-        return _cast(self, dtype)
+class Params:
+    """One encoder's parameters: a contiguous buffer `flat` and `arrays`,
+    named views into it in the order of `config.layout()`."""
+
+    def __init__(self, config, flat: np.ndarray):
+        self.config = config
+        self.flat = flat
+        self.arrays = self.views(flat)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into `flat`, a buffer laid out like this encoder's."""
+        if flat.shape != (_size(self.config),):
+            raise EncoderError(f"parameter buffer has shape {flat.shape}, the "
+                               f"layout needs ({_size(self.config)},)")
+        views, offset = {}, 0
+        for name, shape, _ in self.config.layout():
+            size = math.prod(shape)
+            views[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+        return views
 
 
-def _cast(params, dtype):
-    def conv(value):
-        if isinstance(value, np.ndarray):
-            return value.astype(dtype)
-        if isinstance(value, list):
-            return [conv(v) for v in value]
-        return value
-
-    kwargs = {k: conv(v) for k, v in params.__dict__.items()}
-    return type(params)(**kwargs)
-
-
-def set_named_array(params, name, value):
-    """Replace one named parameter array in place (for optimizers/tests)."""
-    match = re.match(r"conv(\d+)_([wb])$", name)
-    if match:
-        target = params.conv_w if match.group(2) == "w" else params.conv_b
-        target[int(match.group(1)) - 1] = value
-        return
-    setattr(params, name, value)
+def _size(config) -> int:
+    return sum(math.prod(shape) for _, shape, _ in config.layout())
 
 
 # ---------------------------------------------------------------------------
 # initialization
-
-def _uniform(rng, shape, fan_in, dtype):
-    bound = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def init_text_params(config: TextEncoderConfig, rng, dtype=np.float32) -> TextEncoderParams:
-    e = config.embed_dim
-    # a lookup has a single active input, so fan_in is 1 (table entries U(-1, 1))
-    embed = _uniform(rng, (config.vocab_size, e), 1, dtype)
-    conv_w, conv_b = [], []
-    cin = e
-    for cout in config.conv_channels:
-        conv_w.append(_uniform(rng, (cout, cin, 3), cin * 3, dtype))
-        conv_b.append(np.zeros(cout, dtype=dtype))
-        cin = cout
-    h = config.gru_hidden
-    x_dim = config.conv_channels[-1]
-    return TextEncoderParams(
-        config, embed, conv_w, conv_b,
-        gru_w_ih=_uniform(rng, (3 * h, x_dim), x_dim, dtype),
-        gru_w_hh=_uniform(rng, (3 * h, h), h, dtype),
-        gru_b_ih=np.zeros(3 * h, dtype=dtype),
-        gru_b_hh=np.zeros(3 * h, dtype=dtype),
-        fc1_w=_uniform(rng, (config.fc_hidden, h), h, dtype),
-        fc1_b=np.zeros(config.fc_hidden, dtype=dtype),
-        fc2_w=_uniform(rng, (config.out_dim, config.fc_hidden), config.fc_hidden, dtype),
-        fc2_b=np.zeros(config.out_dim, dtype=dtype))
-
-
-def init_shape_params(config: ShapeEncoderConfig, rng, dtype=np.float32) -> ShapeEncoderParams:
-    conv_w, conv_b = [], []
-    for cin, cout, _, _ in config.layer_plan():
-        conv_w.append(_uniform(rng, (cout, cin, 3, 3, 3), cin * 27, dtype))
-        conv_b.append(np.zeros(cout, dtype=dtype))
-    flat = config.back_channels[-1]
-    return ShapeEncoderParams(
-        config, conv_w, conv_b,
-        fc_w=_uniform(rng, (config.out_dim, flat), flat, dtype),
-        fc_b=np.zeros(config.out_dim, dtype=dtype))
-
 
 def init_params(vocab_size: int, seed: int,
                 text_config: TextEncoderConfig | None = None,
                 shape_config: ShapeEncoderConfig | None = None,
                 dtype=np.float32):
     """Seeded initialization of both encoders: weights uniform within
-    +-sqrt(1/fan_in) per layer, biases zero."""
+    +-sqrt(1/fan_in) per layer, drawn in layout order (text, then shape),
+    biases zero."""
     rng = np.random.default_rng(seed)
     text_config = text_config or TextEncoderConfig(vocab_size)
     if text_config.vocab_size != vocab_size:
         raise EncoderError("text_config.vocab_size disagrees with vocab_size")
     shape_config = shape_config or ShapeEncoderConfig()
-    return (init_text_params(text_config, rng, dtype),
-            init_shape_params(shape_config, rng, dtype))
+    out = []
+    for config in (text_config, shape_config):
+        params = Params(config, np.zeros(_size(config), dtype=dtype))
+        for name, shape, fan_in in config.layout():
+            if fan_in is not None:
+                bound = np.sqrt(1.0 / fan_in)
+                params.arrays[name][...] = rng.uniform(-bound, bound, size=shape)
+        out.append(params)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +191,25 @@ def _token_matrix(tokens, lengths, config):
     return ids[:, :keep], lengths
 
 
-def text_apply(params: TextEncoderParams, tokens, lengths, with_cache=False):
+def text_apply(params: Params, tokens, lengths, with_cache=False):
     ids, lengths = _token_matrix(tokens, lengths, params.config)
+    a = params.arrays
     caches = []
-    x, c = nn.embedding_forward(ids, lengths, params.embed)
+    x, c = nn.embedding_forward(ids, lengths, a["embed"])
     caches.append(("embed", c))
-    for i, (w, b) in enumerate(zip(params.conv_w, params.conv_b)):
-        x, c = nn.conv1d_forward(x, w, b)
+    for i in range(len(params.config.conv_channels)):
+        x, c = nn.conv1d_forward(x, a[f"conv{i + 1}_w"], a[f"conv{i + 1}_b"])
         caches.append((f"conv{i}", c))
         x, c = nn.relu_forward(x)
         caches.append((f"relu{i}", c))
-    h, c = nn.gru_forward(x, lengths, params.gru_w_ih, params.gru_w_hh,
-                          params.gru_b_ih, params.gru_b_hh, want_trace=with_cache)
+    h, c = nn.gru_forward(x, lengths, a["gru_w_ih"], a["gru_w_hh"],
+                          a["gru_b_ih"], a["gru_b_hh"], want_trace=with_cache)
     caches.append(("gru", c))
-    y, c = nn.linear_forward(h, params.fc1_w, params.fc1_b)
+    y, c = nn.linear_forward(h, a["fc1_w"], a["fc1_b"])
     caches.append(("fc1", c))
     y, c = nn.relu_forward(y)
     caches.append(("fc1_relu", c))
-    y, c = nn.linear_forward(y, params.fc2_w, params.fc2_b)
+    y, c = nn.linear_forward(y, a["fc2_w"], a["fc2_b"])
     caches.append(("fc2", c))
     y, c = nn.l2_normalize_forward(y)
     caches.append(("norm", c))
@@ -264,27 +218,28 @@ def text_apply(params: TextEncoderParams, tokens, lengths, with_cache=False):
     return (y, caches) if with_cache else (y, None)
 
 
-def text_forward(params: TextEncoderParams, tokens, lengths) -> np.ndarray:
+def text_forward(params: Params, tokens, lengths) -> np.ndarray:
     """Embed a token batch; rows are unit norm."""
     return text_apply(params, tokens, lengths)[0]
 
 
-def text_backward(params: TextEncoderParams, caches, d_emb) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
+def text_backward(params: Params, caches, d_emb) -> np.ndarray:
+    """Gradient of every parameter, in a buffer laid out like `params.flat`."""
+    grad = np.empty_like(params.flat)
+    g = params.views(grad)
     stack = list(caches)
-    dy = d_emb
-    dy = nn.l2_normalize_backward(stack.pop()[1], dy)
-    dy, grads["fc2_w"], grads["fc2_b"] = nn.linear_backward(stack.pop()[1], dy)
+    dy = nn.l2_normalize_backward(stack.pop()[1], d_emb)
+    dy, g["fc2_w"][...], g["fc2_b"][...] = nn.linear_backward(stack.pop()[1], dy)
     dy = nn.relu_backward(stack.pop()[1], dy)
-    dy, grads["fc1_w"], grads["fc1_b"] = nn.linear_backward(stack.pop()[1], dy)
-    (dy, grads["gru_w_ih"], grads["gru_w_hh"],
-     grads["gru_b_ih"], grads["gru_b_hh"]) = nn.gru_backward(stack.pop()[1], dy)
-    for i in range(len(params.conv_w) - 1, -1, -1):
+    dy, g["fc1_w"][...], g["fc1_b"][...] = nn.linear_backward(stack.pop()[1], dy)
+    (dy, g["gru_w_ih"][...], g["gru_w_hh"][...],
+     g["gru_b_ih"][...], g["gru_b_hh"][...]) = nn.gru_backward(stack.pop()[1], dy)
+    for i in range(len(params.config.conv_channels), 0, -1):
         dy = nn.relu_backward(stack.pop()[1], dy)
-        dy, grads[f"conv{i + 1}_w"], grads[f"conv{i + 1}_b"] = nn.conv1d_backward(
+        dy, g[f"conv{i}_w"][...], g[f"conv{i}_b"][...] = nn.conv1d_backward(
             stack.pop()[1], dy)
-    grads["embed"] = nn.embedding_backward(stack.pop()[1], dy)
-    return grads
+    g["embed"][...] = nn.embedding_backward(stack.pop()[1], dy)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +260,12 @@ def _grid_batch(grids, config, dtype):
     return batch.astype(dtype)[..., None]
 
 
-def shape_apply(params: ShapeEncoderParams, grids, with_cache=False):
-    dtype = params.fc_w.dtype
-    x = _grid_batch(grids, params.config, dtype)
+def shape_apply(params: Params, grids, with_cache=False):
+    x = _grid_batch(grids, params.config, params.flat.dtype)
+    a = params.arrays
     caches = []
-    for i, ((w, b), (_, _, stride, pad)) in enumerate(
-            zip(zip(params.conv_w, params.conv_b), params.config.layer_plan())):
-        x, c = nn.conv3d_forward(x, w, b, stride, pad)
+    for i, (_, _, stride, pad) in enumerate(params.config.layer_plan()):
+        x, c = nn.conv3d_forward(x, a[f"conv{i + 1}_w"], a[f"conv{i + 1}_b"], stride, pad)
         caches.append((f"conv{i}", c))
         x, c = nn.relu_forward(x)
         caches.append((f"relu{i}", c))
@@ -319,7 +273,7 @@ def shape_apply(params: ShapeEncoderParams, grids, with_cache=False):
     caches.append(("pool", c))
     flat = x.reshape(x.shape[0], -1)
     caches.append(("flatten", x.shape))
-    y, c = nn.linear_forward(flat, params.fc_w, params.fc_b)
+    y, c = nn.linear_forward(flat, a["fc_w"], a["fc_b"])
     caches.append(("fc", c))
     y, c = nn.l2_normalize_forward(y)
     caches.append(("norm", c))
@@ -328,36 +282,39 @@ def shape_apply(params: ShapeEncoderParams, grids, with_cache=False):
     return (y, caches) if with_cache else (y, None)
 
 
-def shape_forward(params: ShapeEncoderParams, grids) -> np.ndarray:
+def shape_forward(params: Params, grids) -> np.ndarray:
     """Embed a batch of 16^3 grids; rows are unit norm."""
     return shape_apply(params, grids)[0]
 
 
-def shape_backward(params: ShapeEncoderParams, caches, d_emb) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
+def shape_backward(params: Params, caches, d_emb) -> np.ndarray:
+    """Gradient of every parameter, in a buffer laid out like `params.flat`."""
+    grad = np.empty_like(params.flat)
+    g = params.views(grad)
     stack = list(caches)
     dy = nn.l2_normalize_backward(stack.pop()[1], d_emb)
-    dy, grads["fc_w"], grads["fc_b"] = nn.linear_backward(stack.pop()[1], dy)
+    dy, g["fc_w"][...], g["fc_b"][...] = nn.linear_backward(stack.pop()[1], dy)
     dy = dy.reshape(stack.pop()[1])
     dy = nn.maxpool3d_backward(stack.pop()[1], dy)
-    for i in range(len(params.conv_w) - 1, -1, -1):
+    for i in range(params.config.num_conv_layers, 0, -1):
         dy = nn.relu_backward(stack.pop()[1], dy)
-        dy, grads[f"conv{i + 1}_w"], grads[f"conv{i + 1}_b"] = nn.conv3d_backward(
+        dy, g[f"conv{i}_w"][...], g[f"conv{i}_b"][...] = nn.conv3d_backward(
             stack.pop()[1], dy)
-    return grads
+    return grad
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one JSON metadata line + concatenated little-endian float32
-# blobs, offsets recorded per parameter
+# checkpoints: one JSON metadata line, then each encoder's buffer (text,
+# shape) as little-endian float32 bytes; the header lists every parameter's
+# name, shape, byte offset and size, as the layout gives them
 
 CHECKPOINT_VERSION = 1
 
 
 @dataclass
 class Checkpoint:
-    text: TextEncoderParams
-    shape: ShapeEncoderParams
+    text: Params
+    shape: Params
     vocab_words: dict[str, int]
     meta: dict = field(default_factory=dict)
     fingerprint: str = ""
@@ -369,16 +326,25 @@ def _config_json(config):
     return data
 
 
-def checkpoint_bytes(text: TextEncoderParams, shape: ShapeEncoderParams,
+def _config_from_json(cls, data):
+    return cls(**{k: (tuple(v) if isinstance(v, list) else v) for k, v in data.items()})
+
+
+def _entries(text_config, shape_config):
+    """Header entries of both buffers, the shape buffer's bytes following
+    the text buffer's."""
+    entries, offset = [], 0
+    for owner, config in (("text", text_config), ("shape", shape_config)):
+        for name, shape, _ in config.layout():
+            nbytes = 4 * math.prod(shape)
+            entries.append({"name": f"{owner}.{name}", "shape": list(shape),
+                            "offset": offset, "nbytes": nbytes})
+            offset += nbytes
+    return entries
+
+
+def checkpoint_bytes(text: Params, shape: Params,
                      vocab_words: dict[str, int], meta: dict | None = None) -> bytes:
-    entries = []
-    blob = bytearray()  # parameter blobs concatenated in declared order
-    for owner, params in (("text", text), ("shape", shape)):
-        for name, array in params.named_arrays():
-            data = np.ascontiguousarray(array, dtype="<f4").tobytes()
-            entries.append({"name": f"{owner}.{name}", "shape": list(array.shape),
-                            "offset": len(blob), "nbytes": len(data)})
-            blob.extend(data)
     header = {
         "format": "rodfind-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -386,9 +352,11 @@ def checkpoint_bytes(text: TextEncoderParams, shape: ShapeEncoderParams,
         "shape_config": _config_json(shape.config),
         "vocab": vocab_words,
         "meta": meta or {},
-        "params": entries,
+        "params": _entries(text.config, shape.config),
     }
-    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + bytes(blob)
+    return b"".join([json.dumps(header, sort_keys=True).encode("utf-8"), b"\n",
+                     text.flat.astype("<f4", copy=False),
+                     shape.flat.astype("<f4", copy=False)])
 
 
 def save_checkpoint(path, text, shape, vocab_words, meta=None) -> str:
@@ -403,39 +371,42 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def parse_checkpoint(data: bytes) -> Checkpoint:
+    """Read `checkpoint_bytes` output; malformed input raises EncoderError."""
     newline = data.find(b"\n")
     if newline < 0:
         raise EncoderError("checkpoint is missing its metadata line")
-    header = json.loads(data[:newline].decode("utf-8"))
-    if header.get("format") != "rodfind-checkpoint":
+    try:
+        header = json.loads(data[:newline].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise EncoderError(f"checkpoint metadata is not UTF-8 JSON: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != "rodfind-checkpoint":
         raise EncoderError("not a rodfind checkpoint")
-    blob = data[newline + 1:]
+    try:
+        text_config = _config_from_json(TextEncoderConfig, header["text_config"])
+        shape_config = _config_from_json(ShapeEncoderConfig, header["shape_config"])
+        expected = _entries(text_config, shape_config)
+        vocab, table = header["vocab"], header["params"]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise EncoderError(f"malformed checkpoint metadata: {exc!r}") from None
 
-    text_config = TextEncoderConfig(**{
-        k: (tuple(v) if isinstance(v, list) else v)
-        for k, v in header["text_config"].items()})
-    shape_config = ShapeEncoderConfig(**{
-        k: (tuple(v) if isinstance(v, list) else v)
-        for k, v in header["shape_config"].items()})
-    rng = np.random.default_rng(0)
-    text = init_text_params(text_config, rng)
-    shape = init_shape_params(shape_config, rng)
-
-    arrays = {}
-    for entry in header["params"]:
-        raw = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
+    # the entries must be exactly the layout's: then none is missing,
+    # repeated, mis-sized or aliases another, and each buffer is one run
+    if not isinstance(table, list):
+        raise EncoderError("checkpoint parameter table is not a list")
+    for want, got in itertools.zip_longest(expected, table):
+        if got != want:
+            raise EncoderError(f"checkpoint entry {got} does not match the "
+                               f"layout's {want}")
+    blob_size = len(data) - newline - 1
+    for entry in expected:
+        if entry["offset"] + entry["nbytes"] > blob_size:
             raise EncoderError(f"checkpoint blob truncated at {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(
-            entry["shape"]).copy()
-    for owner, params in (("text", text), ("shape", shape)):
-        for name, array in params.named_arrays():
-            key = f"{owner}.{name}"
-            if key not in arrays:
-                raise EncoderError(f"checkpoint missing parameter {key}")
-            if tuple(arrays[key].shape) != array.shape:
-                raise EncoderError(f"checkpoint parameter {key} has shape "
-                                   f"{arrays[key].shape}, expected {array.shape}")
-            set_named_array(params, name, arrays[key])
-    return Checkpoint(text, shape, header["vocab"], header.get("meta", {}),
+
+    loaded, start = [], newline + 1
+    for config in (text_config, shape_config):
+        count = _size(config)
+        flat = np.frombuffer(data, dtype="<f4", count=count, offset=start)
+        loaded.append(Params(config, flat.astype(np.float32)))
+        start += 4 * count
+    return Checkpoint(*loaded, vocab, header.get("meta", {}),
                       hashlib.sha256(data).hexdigest())

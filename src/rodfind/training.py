@@ -145,7 +145,8 @@ def combined_loss(tokens, lengths, grids, ids, text_params, shape_params,
 
 def loss_and_gradients(tokens, lengths, grids, ids, text_params, shape_params,
                        config: TrainerConfig):
-    """Batch loss plus exact reverse-mode gradients for every parameter."""
+    """Batch loss plus exact reverse-mode gradients for every parameter, one
+    buffer per encoder laid out like its `Params.flat`."""
     temb, tcache = enc.text_apply(text_params, tokens, lengths, with_cache=True)
     semb, scache = enc.shape_apply(shape_params, grids, with_cache=True)
     dists = pairwise_distances(temb, semb)
@@ -182,7 +183,7 @@ def loss_and_gradients(tokens, lengths, grids, ids, text_params, shape_params,
             g_anchor[i] -= weight * v
             g_neg[j] += weight * v
 
-    dtype = text_params.embed.dtype
+    dtype = text_params.flat.dtype
     text_grads = enc.text_backward(text_params, tcache, d_t.astype(dtype))
     shape_grads = enc.shape_backward(shape_params, scache, d_s.astype(dtype))
     return total, text_grads, shape_grads, {"t2s": loss_t2s, "s2t": loss_s2t,
@@ -192,38 +193,28 @@ def loss_and_gradients(tokens, lengths, grids, ids, text_params, shape_params,
 # ---------------------------------------------------------------------------
 # optimizer
 
-class _Moments:
-    def __init__(self, params):
-        self.m = {name: np.zeros_like(a) for name, a in params.named_arrays()}
-        self.v = {name: np.zeros_like(a) for name, a in params.named_arrays()}
-
-
-def _update(params, grads, state, step, config):
+def _update(flat, grad, m, v, step, config):
+    """One in-place step on a parameter buffer from its gradient and its
+    Adam moments m and v, three buffers with the same layout."""
     if config.optimizer == "sgd":
-        for name, array in params.named_arrays():
-            array -= config.learning_rate * grads[name].astype(array.dtype)
+        flat -= config.learning_rate * grad
         return
     b1, b2 = config.beta1, config.beta2
     # fold both bias corrections into the step size; a Python float keeps
     # the arithmetic in the parameters' dtype
     lr = float(config.learning_rate) * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
-    for name, array in params.named_arrays():
-        # conv weight gradients are transposed views: copy them to the
-        # parameters' layout once, then update in place through one temporary
-        g = np.ascontiguousarray(grads[name], dtype=array.dtype)
-        m, v = state.m[name], state.v[name]
-        tmp = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += tmp
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
-        v *= b2
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp += config.eps
-        np.divide(m, tmp, out=tmp)
-        tmp *= lr
-        array -= tmp
+    tmp = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += tmp
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
+    v *= b2
+    v += tmp
+    np.sqrt(v, out=tmp)
+    tmp += config.eps
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr
+    flat -= tmp
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +230,8 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    text_params: enc.TextEncoderParams
-    shape_params: enc.ShapeEncoderParams
+    text_params: enc.Params
+    shape_params: enc.Params
     vocab: Vocabulary
     log: list[EpochLog] = field(default_factory=list)
 
@@ -274,8 +265,9 @@ def fit(train_samples: list[Sample], val_samples: list[Sample],
 
     tokens, lengths, grids, ids = _prepare(train_samples, vocab, text_config.max_len)
     rng = np.random.default_rng(config.seed)
-    text_state = _Moments(text_params)
-    shape_state = _Moments(shape_params)
+    # Adam's first and second moments, laid out like each encoder's buffer
+    moments = [(np.zeros_like(p.flat), np.zeros_like(p.flat))
+               for p in (text_params, shape_params)]
 
     result = TrainResult(text_params, shape_params, vocab)
     step = 0
@@ -294,8 +286,8 @@ def fit(train_samples: list[Sample], val_samples: list[Sample],
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss on batch {batch_ids}")
             step += 1
-            _update(text_params, tg, text_state, step, config)
-            _update(shape_params, sg, shape_state, step, config)
+            for params, grad, (m, v) in zip((text_params, shape_params), (tg, sg), moments):
+                _update(params.flat, grad, m, v, step, config)
             losses.append(loss)
         val_recall = (evaluate_recall(text_params, shape_params, val_samples, 1,
                                       vocab, text_config.max_len)

@@ -74,15 +74,16 @@ def check_gradients(params_and_grads, evaluate, h: float, picks: int | None = No
     """Worst relative error between analytic gradients and central
     differences, and the number of coordinates checked.
 
-    `params_and_grads` lists (params, grads) pairs whose arrays are perturbed
-    in place; `evaluate()` returns (loss, kinks), where `kinks` is a tuple of
+    `params_and_grads` lists (arrays, grads) pairs of dicts from parameter
+    name to array; the arrays are perturbed in place, and `grads` holds the
+    matching gradients. `evaluate()` returns (loss, kinks), where `kinks` is a tuple of
     arrays that fixes the smooth piece the loss is on. A coordinate whose
     stencil changes the kinks fails the check outright.
     """
     _, at_theta = evaluate()
     worst, checked = 0.0, 0
-    for params, grads in params_and_grads:
-        for name, array in params.named_arrays():
+    for arrays, grads in params_and_grads:
+        for name, array in arrays.items():
             flat = array.ravel()
             g = grads[name].ravel()
             for i in pick_coordinates(name, flat.size, picks):

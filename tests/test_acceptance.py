@@ -215,8 +215,9 @@ def _gradcheck_instance():
     scfg = enc.ShapeEncoderConfig(**GRADCHECK_SHAPE)
     tp, sp = enc.init_params(8, GRADCHECK_SEED, tcfg, scfg, dtype=np.float64)
     jr = np.random.default_rng(GRADCHECK_JITTER)
-    for _, a in tp.named_arrays() + sp.named_arrays():
-        a += jr.uniform(-0.5, 0.5, size=a.shape)
+    for params in (tp, sp):
+        for a in params.arrays.values():
+            a += jr.uniform(-0.5, 0.5, size=a.shape)
     rng = np.random.default_rng(GRADCHECK_SEED + 1000)
     tokens = rng.integers(2, 8, size=(2, 8))
     lengths = np.array([5, 7])
@@ -238,7 +239,8 @@ def test_criterion_08_gradient_check():
         return gc.trainer_loss(tokens, lengths, grids, ids, tp, sp, config)
 
     assert total()[0] == tr.combined_loss(tokens, lengths, grids, ids, tp, sp, config)
-    worst, checked = gc.check_gradients([(tp, tgrads), (sp, sgrads)], total, h=1e-3)
+    worst, checked = gc.check_gradients(
+        [(tp.arrays, tp.views(tgrads)), (sp.arrays, sp.views(sgrads))], total, h=1e-3)
     assert worst <= gc.RTOL, f"worst relative error {worst:.2e} over {checked} coords"
 
     # an all-easy batch has an inactive hinge everywhere: gradients exactly 0

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ def tiny_params(seed=11, dtype=np.float64, jitter=None):
     tp, sp = enc.init_params(8, seed, tcfg, scfg, dtype=dtype)
     if jitter is not None:
         rng = np.random.default_rng(jitter)
-        for _, a in tp.named_arrays() + sp.named_arrays():
+        for a in arrays(tp, sp):
             a += rng.uniform(-0.05, 0.05, size=a.shape)
     return tp, sp
 
@@ -28,27 +31,32 @@ def perturbed_params(seed):
     this spreads them."""
     tp, sp = tiny_params()
     rng = np.random.default_rng(seed)
-    for _, a in tp.named_arrays() + sp.named_arrays():
+    for a in arrays(tp, sp):
         a += rng.uniform(-0.8, 0.8, size=a.shape)
     return tp, sp
+
+
+def arrays(*params):
+    """Every named view of the given encoders' parameters, in layout order."""
+    return [a for p in params for a in p.arrays.values()]
 
 
 class TestInit:
     def test_same_seed_bitwise_identical(self):
         a_t, a_s = enc.init_params(50, seed=42)
         b_t, b_s = enc.init_params(50, seed=42)
-        for (n1, x), (n2, y) in zip(a_t.named_arrays() + a_s.named_arrays(),
-                                    b_t.named_arrays() + b_s.named_arrays()):
-            assert n1 == n2 and np.array_equal(x, y)
+        for a, b in ((a_t, b_t), (a_s, b_s)):
+            assert list(a.arrays) == list(b.arrays)
+            assert np.array_equal(a.flat, b.flat)
 
     def test_different_seed_differs(self):
         a_t, _ = enc.init_params(50, seed=1)
         b_t, _ = enc.init_params(50, seed=2)
-        assert not np.array_equal(a_t.embed, b_t.embed)
+        assert not np.array_equal(a_t.arrays["embed"], b_t.arrays["embed"])
 
     def test_biases_exactly_zero(self):
         tp, sp = enc.init_params(50, seed=0)
-        for name, array in tp.named_arrays() + sp.named_arrays():
+        for name, array in list(tp.arrays.items()) + list(sp.arrays.items()):
             if name.endswith("_b") or name.startswith("gru_b"):
                 assert (array == 0).all(), name
 
@@ -61,7 +69,7 @@ class TestInit:
         expected += 3 * h * 256 + 3 * h * h + 6 * h        # GRU weights + biases
         expected += 256 * 256 + 256                        # fc1
         expected += 128 * 256 + 128                        # fc2
-        assert tp.param_count() == expected
+        assert tp.flat.size == expected
 
     def test_shape_parameter_count_closed_form(self):
         _, sp = enc.init_params(100, seed=0)
@@ -69,13 +77,13 @@ class TestInit:
         for cin, cout in [(1, 4), (4, 4), (4, 4), (4, 4), (4, 64), (64, 128), (128, 256)]:
             expected += cout * cin * 27 + cout
         expected += 128 * 256 + 128                        # final dense
-        assert sp.param_count() == expected
+        assert sp.flat.size == expected
 
     def test_weight_bounds_follow_fan_in(self):
         tp, _ = enc.init_params(100, seed=3)
         bound = np.sqrt(1.0 / (128 * 3))
-        assert np.abs(tp.conv_w[0]).max() <= bound
-        assert np.abs(tp.conv_w[0]).max() > 0.9 * bound  # actually fills the range
+        assert np.abs(tp.arrays["conv1_w"]).max() <= bound
+        assert np.abs(tp.arrays["conv1_w"]).max() > 0.9 * bound  # actually fills the range
 
 
 class TestShapeConfig:
@@ -173,7 +181,7 @@ class TestBackward:
             y, caches = enc.text_apply(tp, tokens, lengths, with_cache=True)
             return float((y * probe).sum()), gc.text_kinks(caches)
 
-        worst, _ = gc.check_gradients([(tp, grads)], loss, h=1e-5, picks=8)
+        worst, _ = gc.check_gradients([(tp.arrays, tp.views(grads))], loss, h=1e-5, picks=8)
         assert worst < gc.RTOL
 
     def test_shape_backward_matches_finite_differences(self):
@@ -189,11 +197,50 @@ class TestBackward:
             y, caches = enc.shape_apply(sp, grids, with_cache=True)
             return float((y * probe).sum()), gc.shape_kinks(caches)
 
-        worst, _ = gc.check_gradients([(sp, grads)], loss, h=1e-5, picks=8)
+        worst, _ = gc.check_gradients([(sp.arrays, sp.views(grads))], loss, h=1e-5, picks=8)
         assert worst < gc.RTOL
 
 
+def _edit_header(change):
+    """Checkpoint bytes -> the same bytes with `change` applied to the header."""
+    def apply(data):
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        change(header)
+        return json.dumps(header).encode("utf-8") + data[newline:]
+    return apply
+
+
+MALFORMED = {
+    "short nbytes": _edit_header(lambda h: h["params"][1].update(nbytes=4)),
+    "wrong shape": _edit_header(lambda h: h["params"][1].update(shape=[5, 6, 4])),
+    "aliasing entries": _edit_header(
+        lambda h: h["params"][3].update(offset=h["params"][1]["offset"])),
+    "no params": _edit_header(lambda h: h.pop("params")),
+    "unknown config key": _edit_header(lambda h: h["text_config"].update(depth=3)),
+    "non-UTF-8 header": lambda data: b'{"format": "\xff"}' + data[data.index(b"\n"):],
+    "non-JSON header": lambda data: b"{format" + data[data.index(b"\n"):],
+}
+
+
 class TestCheckpoint:
+    def test_golden_bytes(self):
+        # computed before the parameters moved into one buffer per encoder:
+        # they pin the file format and the initializer's draw order
+        tiny = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), {"shaft": 2},
+                                    {"seed": 11})
+        assert hashlib.sha256(tiny).hexdigest() == (
+            "af05f864b149f7109d4ffc5eaf10b12f7da106ee0ce10f2fc95c0d5c1378b7d1")
+        full = enc.checkpoint_bytes(*enc.init_params(50, 42), {}, {})
+        assert hashlib.sha256(full).hexdigest() == (
+            "362c6908317c6e7a0e864e449df3c1384f0a857d9ae07144644e5e3bd8f67d23")
+
+    @pytest.mark.parametrize("corrupt", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_checkpoint_raises_encoder_error(self, corrupt):
+        data = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), {}, {})
+        with pytest.raises(EncoderError):
+            enc.parse_checkpoint(corrupt(data))
+
     def test_round_trip_lossless(self, tmp_path):
         tp, sp = enc.init_params(12, seed=9)
         path = tmp_path / "model.ckpt"
@@ -202,9 +249,9 @@ class TestCheckpoint:
         assert ck.fingerprint == digest
         assert ck.vocab_words == {"shaft": 2}
         assert ck.meta == {"seed": 9}
-        for (n1, a), (n2, b) in zip(tp.named_arrays() + sp.named_arrays(),
-                                    ck.text.named_arrays() + ck.shape.named_arrays()):
-            assert n1 == n2 and np.array_equal(a, b)
+        for a, b in ((tp, ck.text), (sp, ck.shape)):
+            assert a.config == b.config
+            assert np.array_equal(a.flat, b.flat)
 
     def test_identical_params_identical_bytes(self):
         tp, sp = enc.init_params(12, seed=9)

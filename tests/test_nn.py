@@ -82,8 +82,8 @@ def test_conv1d_backward_is_the_adjoint_of_the_forward(batch, length, cin, cout,
 # GRU
 
 class _GruParams:
-    """The GRU's weights and its input, as (name, array) pairs that
-    gradcheck perturbs in place."""
+    """The GRU's weights and its input, in `arrays`, a dict from name to array
+    that gradcheck perturbs in place."""
 
     def __init__(self, rng, batch, length, x_dim, hidden):
         self.x = rng.standard_normal((batch, length, x_dim))
@@ -91,9 +91,8 @@ class _GruParams:
         self.w_hh = rng.uniform(-0.8, 0.8, size=(3 * hidden, hidden))
         self.b_ih = rng.uniform(-0.5, 0.5, size=3 * hidden)
         self.b_hh = rng.uniform(-0.5, 0.5, size=3 * hidden)
-
-    def named_arrays(self):
-        return [(name, getattr(self, name)) for name in ("x", "w_ih", "w_hh", "b_ih", "b_hh")]
+        self.arrays = {name: getattr(self, name)
+                       for name in ("x", "w_ih", "w_hh", "b_ih", "b_hh")}
 
 
 def test_gru_backward_matches_finite_differences_with_masked_steps():
@@ -112,8 +111,8 @@ def test_gru_backward_matches_finite_differences_with_masked_steps():
     grads = {"x": dx, "w_ih": dw_ih, "w_hh": dw_hh, "b_ih": db_ih, "b_hh": db_hh}
     # tokens past a row's length cannot reach the output
     assert (dx[1, 4:] == 0).all() and (dx[2] == 0).all() and (dx[3, 2:] == 0).all()
-    worst, checked = gc.check_gradients([(p, grads)], loss, h=1e-5)
-    assert checked == sum(a.size for _, a in p.named_arrays())
+    worst, checked = gc.check_gradients([(p.arrays, grads)], loss, h=1e-5)
+    assert checked == sum(a.size for a in p.arrays.values())
     assert worst < gc.RTOL
 
 

@@ -209,7 +209,8 @@ class TestGradients:
             return gc.trainer_loss(tokens, lengths, grids, ids, tp, sp, cfg)
 
         assert total()[0] == tr.combined_loss(tokens, lengths, grids, ids, tp, sp, cfg)
-        worst, _ = gc.check_gradients([(tp, tg), (sp, sg)], total, h=1e-5, picks=5)
+        worst, _ = gc.check_gradients(
+            [(tp.arrays, tp.views(tg)), (sp.arrays, sp.views(sg))], total, h=1e-5, picks=5)
         assert worst < gc.RTOL
 
     def test_all_easy_batch_has_exactly_zero_gradients(self):
@@ -226,16 +227,14 @@ class TestGradients:
                                                      ["a", "b"], tp, sp, cfg)
             if all(t.kind == tr.EASY for t in stats["triplets"]):
                 break
-            for params, grads in ((tp, tg), (sp, sg)):
-                for name, a in params.named_arrays():
-                    a -= 0.1 * grads[name]
+            tp.flat -= 0.1 * tg
+            sp.flat -= 0.1 * sg
         loss, tg, sg, stats = tr.loss_and_gradients(tokens, lengths, grids,
                                                     ["a", "b"], tp, sp, cfg)
         assert all(t.kind == tr.EASY for t in stats["triplets"]), "precondition"
         assert loss == 0.0
-        for grads in (tg, sg):
-            for g in grads.values():
-                assert (g == 0).all()
+        for grad in (tg, sg):
+            assert (grad == 0).all()
 
     def test_mu_scales_s2t_gradient_contribution(self):
         tp, sp = tiny_params(jitter=7)
@@ -246,75 +245,48 @@ class TestGradients:
         _, tg2, _, _ = tr.loss_and_gradients(tokens, lengths, grids, ids, tp, sp, doubled)
         _, tg1, _, _ = tr.loss_and_gradients(tokens, lengths, grids, ids, tp, sp,
                                              tr.TrainerConfig(batch_size=2, mu=1.0))
-        for name in tg0:
-            s2t_part = tg1[name] - tg0[name]
-            assert np.allclose(tg2[name], tg0[name] + 2.0 * s2t_part, atol=1e-12)
-
-
-class _Params:
-    """A conv-like weight, a bias and a dense weight, for the optimizer."""
-
-    def __init__(self, rng, dtype):
-        self.w = rng.standard_normal((6, 5, 3)).astype(dtype)
-        self.b = rng.standard_normal(7).astype(dtype)
-        self.fc = rng.standard_normal((4, 9)).astype(dtype)
-
-    def named_arrays(self):
-        return [("w", self.w), ("b", self.b), ("fc", self.fc)]
-
-
-def _gradients(rng, params):
-    """Random gradients; the dense one is a non-contiguous view, as conv
-    weight gradients are, and the bias one is float64."""
-    grads = {name: rng.standard_normal(a.shape).astype(a.dtype)
-             for name, a in params.named_arrays()}
-    grads["fc"] = np.ascontiguousarray(grads["fc"].T).T
-    grads["b"] = grads["b"].astype(np.float64)
-    return grads
+        s2t_part = tg1 - tg0
+        assert np.allclose(tg2, tg0 + 2.0 * s2t_part, atol=1e-12)
 
 
 class TestOptimizer:
     STEPS = 5
+    SIZE = 133  # a conv-like weight, a bias and a dense weight, as one buffer
 
     def test_adam_matches_a_float64_reference(self):
         cfg = tr.TrainerConfig(learning_rate=1e-2, optimizer="adam")
         rng = np.random.default_rng(12)
-        params = _Params(rng, np.float32)
-        state = tr._Moments(params)
-        ref = {name: a.astype(np.float64) for name, a in params.named_arrays()}
-        m = {name: np.zeros_like(a) for name, a in ref.items()}
-        v = {name: np.zeros_like(a) for name, a in ref.items()}
+        flat = rng.standard_normal(self.SIZE).astype(np.float32)
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
+        ref = flat.astype(np.float64)
+        m64, v64 = np.zeros_like(ref), np.zeros_like(ref)
         eps32 = np.finfo(np.float32).eps
         for t in range(1, self.STEPS + 1):
-            grads = _gradients(rng, params)
-            assert not grads["fc"].flags.c_contiguous
-            tr._update(params, grads, state, t, cfg)
-            for name, array in params.named_arrays():
-                g = grads[name].astype(np.float64)
-                m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * g
-                v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
-                m_hat = m[name] / (1 - cfg.beta1 ** t)
-                v_hat = v[name] / (1 - cfg.beta2 ** t)
-                # Kingma & Ba's efficient form folds both corrections into the
-                # step size, which puts eps on sqrt(v) instead of sqrt(v_hat)
-                eps_hat = cfg.eps / np.sqrt(1 - cfg.beta2 ** t)
-                ref[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps_hat)
-                assert array.dtype == np.float32
-                # float32 rounding of the parameter and of the step, per step
-                tol = 2 * t * eps32 * (np.abs(ref[name]) + cfg.learning_rate)
-                assert (np.abs(array - ref[name]) <= tol).all(), name
+            grad = rng.standard_normal(self.SIZE).astype(np.float32)
+            tr._update(flat, grad, m, v, t, cfg)
+            g = grad.astype(np.float64)
+            m64 = cfg.beta1 * m64 + (1 - cfg.beta1) * g
+            v64 = cfg.beta2 * v64 + (1 - cfg.beta2) * g * g
+            m_hat = m64 / (1 - cfg.beta1 ** t)
+            v_hat = v64 / (1 - cfg.beta2 ** t)
+            # Kingma & Ba's efficient form folds both corrections into the
+            # step size, which puts eps on sqrt(v) instead of sqrt(v_hat)
+            eps_hat = cfg.eps / np.sqrt(1 - cfg.beta2 ** t)
+            ref -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps_hat)
+            assert flat.dtype == np.float32
+            # float32 rounding of the parameter and of the step, per step
+            tol = 2 * t * eps32 * (np.abs(ref) + cfg.learning_rate)
+            assert (np.abs(flat - ref) <= tol).all()
 
     def test_sgd_step_is_lr_times_gradient(self):
         cfg = tr.TrainerConfig(learning_rate=0.3, optimizer="sgd")
         rng = np.random.default_rng(13)
-        params = _Params(rng, np.float32)
-        before = {name: a.copy() for name, a in params.named_arrays()}
-        grads = _gradients(rng, params)
-        tr._update(params, grads, tr._Moments(params), 1, cfg)
-        for name, array in params.named_arrays():
-            expected = before[name] - cfg.learning_rate * grads[name].astype(np.float32)
-            assert array.dtype == np.float32
-            assert np.array_equal(array, expected), name
+        flat = rng.standard_normal(self.SIZE).astype(np.float32)
+        before = flat.copy()
+        grad = rng.standard_normal(self.SIZE).astype(np.float32)
+        tr._update(flat, grad, np.zeros_like(flat), np.zeros_like(flat), 1, cfg)
+        assert flat.dtype == np.float32
+        assert np.array_equal(flat, before - cfg.learning_rate * grad)
 
 
 class TestFit:
@@ -327,12 +299,8 @@ class TestFit:
         result = tr.fit(samples, [], cfg)
         fresh_t, fresh_s = enc.init_params(result.vocab.size, cfg.seed,
                                            enc.TextEncoderConfig(result.vocab.size))
-        for (n1, a), (n2, b) in zip(result.text_params.named_arrays(),
-                                    fresh_t.named_arrays()):
-            assert np.array_equal(a, b), n1
-        for (n1, a), (n2, b) in zip(result.shape_params.named_arrays(),
-                                    fresh_s.named_arrays()):
-            assert np.array_equal(a, b), n1
+        assert np.array_equal(result.text_params.flat, fresh_t.flat)
+        assert np.array_equal(result.shape_params.flat, fresh_s.flat)
 
     def test_logged_losses_nonnegative_and_complete(self):
         samples = self.corpus()
@@ -347,9 +315,7 @@ class TestFit:
         cfg = tr.TrainerConfig(batch_size=3, learning_rate=1e-4, epochs=2, seed=3)
         a = tr.fit(samples, [], cfg)
         b = tr.fit(samples, [], cfg)
-        for (_, x), (_, y) in zip(a.text_params.named_arrays(),
-                                  b.text_params.named_arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.text_params.flat, b.text_params.flat)
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
