@@ -81,14 +81,6 @@ class Vocabulary:
     def id_of(self, word: str) -> int:
         return self.word_to_id.get(word, UNK_ID)
 
-    def to_json(self) -> dict:
-        return {"min_count": self.min_count, "words": self.word_to_id}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Vocabulary":
-        return cls({w: int(i) for w, i in data["words"].items()},
-                   int(data.get("min_count", DEFAULT_MIN_COUNT)))
-
 
 def build_vocabulary(texts, min_count: int = DEFAULT_MIN_COUNT) -> Vocabulary:
     """Words occurring at least `min_count` times, ids ordered by descending

@@ -130,15 +130,21 @@ def _check_responses(design: DesignMatrix, responses):
     return responses
 
 
+def _level_sums(design: DesignMatrix, responses, j: int):
+    """Response sum and row count per level of factor j."""
+    sums = [0.0] * len(design.factors[j].levels)
+    counts = [0] * len(sums)
+    for row, y in zip(design.rows, responses):
+        sums[row[j]] += y
+        counts[row[j]] += 1
+    return sums, counts
+
+
 def range_analysis(design: DesignMatrix, responses) -> RangeAnalysis:
     responses = _check_responses(design, responses)
     level_sums, level_means = [], []
     for j, factor in enumerate(design.factors):
-        sums = [0.0] * len(factor.levels)
-        counts = [0] * len(factor.levels)
-        for row, y in zip(design.rows, responses):
-            sums[row[j]] += y
-            counts[row[j]] += 1
+        sums, counts = _level_sums(design, responses, j)
         if 0 in counts:
             raise DesignError(f"factor {factor.name!r} has an unused level")
         level_sums.append(sums)
@@ -191,11 +197,7 @@ def anova(design: DesignMatrix, responses) -> AnovaTable:
 
     factor_rows = []
     for j, factor in enumerate(design.factors):
-        sums = [0.0] * len(factor.levels)
-        counts = [0] * len(factor.levels)
-        for row, y in zip(design.rows, responses):
-            sums[row[j]] += y
-            counts[row[j]] += 1
+        sums, counts = _level_sums(design, responses, j)
         ss = sum(s * s / c for s, c in zip(sums, counts)) - cf
         df = len(factor.levels) - 1
         factor_rows.append(AnovaRow(factor.name, df, ss, ss / df, None, None))

@@ -20,6 +20,9 @@ from .training import embed_shapes, pairwise_distances
 
 DEFAULT_K = 8
 INDEX_MAGIC = "rodfind-index"
+# the index header's fields; the lists hold strings, one per gallery entry
+_HEADER_TYPES = {"ids": list, "nrrd_paths": list, "texts": list,
+                 "fingerprint": str, "resolution": int, "dim": int}
 
 
 @dataclass
@@ -36,8 +39,9 @@ class ShapeIndex:
 
     def __post_init__(self):
         self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float32)
-        if len(self.ids) != len(self.embeddings):
-            raise RetrievalError("index ids and embeddings disagree in length")
+        for name in ("embeddings", "nrrd_paths", "texts"):
+            if len(getattr(self, name)) != len(self.ids):
+                raise RetrievalError(f"index ids and {name} disagree in length")
         if len(set(self.ids)) != len(self.ids):
             raise RetrievalError("index contains duplicate sample ids")
 
@@ -101,13 +105,26 @@ def save_index(index: ShapeIndex, path) -> None:
 
 
 def load_index(path) -> ShapeIndex:
+    """Read `save_index` output; malformed input raises RetrievalError."""
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
     if newline < 0:
         raise RetrievalError(f"{path}: not an index file")
-    header = json.loads(data[:newline].decode("utf-8"))
-    if header.get("format") != INDEX_MAGIC:
+    try:
+        header = json.loads(data[:newline].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise RetrievalError(f"{path}: index header is not UTF-8 JSON: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != INDEX_MAGIC:
         raise RetrievalError(f"{path}: not a rodfind index")
+    if header.get("dtype") != "<f4":
+        raise RetrievalError(f"{path}: embedding dtype {header.get('dtype')!r}, "
+                             "expected '<f4'")
+    for key, kind in _HEADER_TYPES.items():
+        value = header.get(key)
+        if not isinstance(value, kind) or (
+                kind is list and not all(isinstance(v, str) for v in value)):
+            raise RetrievalError(f"{path}: index header field {key!r} is missing "
+                                 f"or not a {kind.__name__}")
     blob = data[newline + 1:]
     count, dim = len(header["ids"]), header["dim"]
     expected = count * dim * 4

@@ -88,49 +88,54 @@ class Triplet:
     kind: str
 
 
-def _mine_direction(dist, ids, margin, direction):
-    n = dist.shape[0]
-    out = []
-    for i in range(n):
-        d_ap = dist[i, i]
-        candidates = [j for j in range(n) if ids[j] != ids[i]]
-        if not candidates:
-            raise TrainingError(
-                f"anchor {ids[i]!r} has no negative in the batch (all ids equal)")
-        semi = [j for j in candidates if d_ap < dist[i, j] < d_ap + margin]
-        pool = semi if semi else candidates
-        j = min(pool, key=lambda j: (dist[i, j], j))
-        out.append(Triplet(i, i, j, direction,
-                           classify_triplet(d_ap, dist[i, j], margin)))
-    return out
-
-
 def mine_semihard(dists: np.ndarray, ids, margin: float) -> list[Triplet]:
     """Per anchor and direction: most-violating semi-hard negative (smallest
-    d_an strictly inside the margin band), hardest negative as fallback."""
+    d_an strictly inside the band d_ap < d_an < d_ap + margin), hardest
+    negative as fallback, ties to the lowest index; candidates are the other
+    ids. One masked row-argmin per direction."""
     dists = np.asarray(dists, dtype=np.float64)
     if dists.ndim != 2 or dists.shape[0] != dists.shape[1]:
         raise TrainingError(f"distance matrix must be square, got {dists.shape}")
     if dists.shape[0] < 2:
         raise TrainingError("mining needs a batch of at least 2")
     ids = list(ids)
-    return (_mine_direction(dists, ids, margin, "t2s")
-            + _mine_direction(dists.T, ids, margin, "s2t"))
+    codes = np.asarray(ids)
+    other = codes[:, None] != codes[None, :]
+    alone = ~other.any(axis=1)
+    if alone.any():
+        raise TrainingError(f"anchor {ids[alone.argmax()]!r} has no negative in the "
+                            "batch (all ids equal)")
+    rows = np.stack([dists, dists.T])  # per direction: anchor rows, negative columns
+    d_ap = np.diagonal(dists)[:, None]
+    semi = other & (rows > d_ap) & (rows < d_ap + margin)
+    pool = np.where(semi.any(axis=2, keepdims=True), semi, other)
+    negatives = np.where(pool, rows, np.inf).argmin(axis=2).tolist()
+    return [Triplet(i, i, j, direction, classify_triplet(d[i, i], d[i, j], margin))
+            for direction, d, row in zip(("t2s", "s2t"), rows, negatives)
+            for i, j in enumerate(row)]
+
+
+def _objective(dists, ids, margin, mu):
+    """Loss = Loss_t2s + mu * Loss_s2t, its mined triplets, and G = dLoss/d
+    dists: +w at (i, i) and -w at the mined (i, j) (t2s) or (j, i) (s2t) of
+    every active hinge, with w = 1/n for t2s and mu/n for s2t."""
+    triplets = mine_semihard(dists, ids, margin)
+    dists = np.asarray(dists, dtype=np.float64)
+    n = dists.shape[0]
+    anchors = np.arange(n)
+    neg_t2s, neg_s2t = np.array([t.negative for t in triplets]).reshape(2, n)
+    d_an = np.stack([dists[anchors, neg_t2s], dists[neg_s2t, anchors]])
+    hinge = np.diagonal(dists) - d_an + margin
+    loss_t2s, loss_s2t = np.maximum(hinge, 0.0).mean(axis=1).tolist()
+    w = np.array([[1.0 / n], [mu / n]]) * (hinge > 0.0)
+    grad = np.diag(w.sum(axis=0))
+    grad[anchors, neg_t2s] -= w[0]
+    grad[neg_s2t, anchors] -= w[1]
+    return loss_t2s + mu * loss_s2t, loss_t2s, loss_s2t, triplets, grad
 
 
 def combined_loss_from_distances(dists, ids, margin, mu):
-    triplets = mine_semihard(dists, ids, margin)
-    dists = np.asarray(dists, dtype=np.float64)
-    sums = {"t2s": 0.0, "s2t": 0.0}
-    counts = {"t2s": 0, "s2t": 0}
-    for trip in triplets:
-        d = dists if trip.direction == "t2s" else dists.T
-        sums[trip.direction] += triplet_loss(d[trip.anchor, trip.anchor],
-                                             d[trip.anchor, trip.negative], margin)
-        counts[trip.direction] += 1
-    loss_t2s = sums["t2s"] / counts["t2s"]
-    loss_s2t = sums["s2t"] / counts["s2t"]
-    return loss_t2s + mu * loss_s2t, loss_t2s, loss_s2t, triplets
+    return _objective(dists, ids, margin, mu)[:4]
 
 
 def combined_loss(tokens, lengths, grids, ids, text_params, shape_params,
@@ -152,36 +157,15 @@ def loss_and_gradients(tokens, lengths, grids, ids, text_params, shape_params,
     dists = pairwise_distances(temb, semb)
     if not np.isfinite(dists).all():
         raise TrainingError("non-finite distances in the forward pass")
-    total, loss_t2s, loss_s2t, triplets = combined_loss_from_distances(
+    total, loss_t2s, loss_s2t, triplets, grad = _objective(
         dists, ids, config.margin, config.mu)
 
-    n = temb.shape[0]
-    d_t = np.zeros_like(temb, dtype=np.float64)
-    d_s = np.zeros_like(semb, dtype=np.float64)
+    # backward of the distance layer d_ij = ||t_i - s_j||
+    m = np.divide(grad, dists, out=np.zeros_like(grad), where=dists > 0.0)
     t64 = temb.astype(np.float64)
     s64 = semb.astype(np.float64)
-    for trip in triplets:
-        i, j = trip.anchor, trip.negative
-        if trip.direction == "t2s":
-            d_ap, d_an = dists[i, i], dists[i, j]
-            weight = 1.0 / n
-            anchor, pos, neg = t64[i], s64[i], s64[j]
-            g_anchor, g_pos, g_neg = d_t, d_s, d_s
-        else:
-            d_ap, d_an = dists[i, i], dists[j, i]
-            weight = config.mu / n
-            anchor, pos, neg = s64[i], t64[i], t64[j]
-            g_anchor, g_pos, g_neg = d_s, d_t, d_t
-        if d_ap - d_an + config.margin <= 0.0:
-            continue  # inactive hinge: exact zero gradient
-        if d_ap > 0.0:
-            u = (anchor - pos) / d_ap
-            g_anchor[i] += weight * u
-            g_pos[i] -= weight * u
-        if d_an > 0.0:
-            v = (anchor - neg) / d_an
-            g_anchor[i] -= weight * v
-            g_neg[j] += weight * v
+    d_t = m.sum(axis=1)[:, None] * t64 - m @ s64
+    d_s = m.sum(axis=0)[:, None] * s64 - m.T @ t64
 
     dtype = text_params.flat.dtype
     text_grads = enc.text_backward(text_params, tcache, d_t.astype(dtype))
@@ -258,6 +242,8 @@ def fit(train_samples: list[Sample], val_samples: list[Sample],
     """
     if not train_samples:
         raise TrainingError("training set is empty")
+    if len(train_samples) < 2:
+        raise TrainingError("training needs at least 2 samples (mining needs a negative)")
     vocab = vocab or build_vocabulary(s.text for s in train_samples)
     text_config = text_config or enc.TextEncoderConfig(vocab.size)
     text_params, shape_params = enc.init_params(

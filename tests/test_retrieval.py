@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from rodfind import dataset as ds
 from rodfind import encoders as enc
 from rodfind import retrieval as rt
 from rodfind import training as tr
-from rodfind.errors import RetrievalError
+from rodfind.errors import ParseError, ParseWarning, RetrievalError
 from rodfind.geometry import VoxelGrid
 
 
@@ -74,6 +76,27 @@ class TestIndexIO:
         with pytest.raises(RetrievalError, match="embedding block"):
             rt.load_index(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: b"\xff" + json.dumps(h).encode(),
+        lambda h: json.dumps(h).encode()[:-1],
+        lambda h: json.dumps(sorted(h)).encode(),
+        lambda h: json.dumps({k: v for k, v in h.items() if k != "ids"}).encode(),
+        lambda h: json.dumps({**h, "dtype": "<f8"}).encode(),
+        lambda h: json.dumps({**h, "nrrd_paths": h["nrrd_paths"][1:]}).encode(),
+        lambda h: json.dumps({**h, "texts": 5}).encode(),
+        lambda h: json.dumps({**h, "dim": float(h["dim"])}).encode(),
+        lambda h: json.dumps({**h, "ids": [h["ids"][:1]] + h["ids"][1:]}).encode(),
+    ], ids=["not-utf8", "not-json", "json-list", "no-ids", "f8-dtype", "short-nrrd-paths",
+            "int-texts", "float-dim", "list-id"])
+    def test_malformed_header_raises_retrieval_error(self, gallery, tmp_path, edit):
+        _, _, index = gallery
+        path = tmp_path / "gallery.idx"
+        rt.save_index(index, path)
+        head, blob = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(edit(json.loads(head)) + b"\n" + blob)
+        with pytest.raises(RetrievalError):
+            rt.load_index(path)
+
 
 class TestQuery:
     def test_returns_k_nondecreasing_matches(self, gallery):
@@ -134,9 +157,8 @@ class TestQuery:
 
     def test_unparseable_text_rejected(self, gallery):
         _, checkpoint, index = gallery
-        from rodfind.errors import ParseError
-
-        with pytest.raises(ParseError):
+        # the lenient parse skips the sentence with a warning, then finds nothing
+        with pytest.warns(ParseWarning), pytest.raises(ParseError):
             rt.query("gibberish sentence about nothing", index, checkpoint, k=3)
 
 

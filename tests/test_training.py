@@ -35,6 +35,45 @@ def brute_force_mine(dists, ids, margin):
     return out
 
 
+def reference_loss_and_gradients(tokens, lengths, grids, ids, tp, sp, config):
+    """The trainer's former per-triplet hinge and gradient loops, on the
+    brute-force mining: loss and flat gradients of both encoders."""
+    temb, tcache = enc.text_apply(tp, tokens, lengths, with_cache=True)
+    semb, scache = enc.shape_apply(sp, grids, with_cache=True)
+    dists = tr.pairwise_distances(temb, semb)
+    n = temb.shape[0]
+    sums = {"t2s": 0.0, "s2t": 0.0}
+    d_t = np.zeros_like(temb, dtype=np.float64)
+    d_s = np.zeros_like(semb, dtype=np.float64)
+    t64 = temb.astype(np.float64)
+    s64 = semb.astype(np.float64)
+    for i, j, direction, _ in brute_force_mine(dists, ids, config.margin):
+        if direction == "t2s":
+            d_ap, d_an = dists[i, i], dists[i, j]
+            weight = 1.0 / n
+            anchor, pos, neg = t64[i], s64[i], s64[j]
+            g_anchor, g_pos, g_neg = d_t, d_s, d_s
+        else:
+            d_ap, d_an = dists[i, i], dists[j, i]
+            weight = config.mu / n
+            anchor, pos, neg = s64[i], t64[i], t64[j]
+            g_anchor, g_pos, g_neg = d_s, d_t, d_t
+        sums[direction] += tr.triplet_loss(d_ap, d_an, config.margin)
+        if d_ap - d_an + config.margin <= 0.0:
+            continue  # inactive hinge: exact zero gradient
+        if d_ap > 0.0:
+            u = (anchor - pos) / d_ap
+            g_anchor[i] += weight * u
+            g_pos[i] -= weight * u
+        if d_an > 0.0:
+            v = (anchor - neg) / d_an
+            g_anchor[i] -= weight * v
+            g_neg[j] += weight * v
+    loss = sums["t2s"] / n + config.mu * (sums["s2t"] / n)
+    return (loss, enc.text_backward(tp, tcache, d_t.astype(tp.flat.dtype)),
+            enc.shape_backward(sp, scache, d_s.astype(sp.flat.dtype)))
+
+
 class TestPairwiseDistances:
     def test_identical_orthogonal_antipodal(self):
         e = np.eye(3)[:2]
@@ -126,6 +165,21 @@ class TestMining:
             negatives = [row[t.anchor, j] for j in range(3) if j != t.anchor]
             assert row[t.anchor, t.negative] == min(negatives)
             assert t.kind == tr.EASY
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_brute_force_under_ties_and_band_edges(self, data):
+        # distances and margin on multiples of 0.25: candidates tie, and land
+        # exactly on d_ap and on d_ap + margin
+        n = data.draw(st.integers(2, 8))
+        d = 0.25 * np.array(data.draw(st.lists(st.integers(0, 8), min_size=n * n,
+                                               max_size=n * n))).reshape(n, n)
+        margin = 0.25 * data.draw(st.integers(1, 4))
+        ids = data.draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n)
+                        .filter(lambda ids: len(set(ids)) > 1))
+        mined = tr.mine_semihard(d, ids, margin)
+        assert [(t.anchor, t.negative, t.direction, t.kind) for t in mined] == \
+            brute_force_mine(d, ids, margin)
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(TrainingError):
@@ -248,6 +302,30 @@ class TestGradients:
         s2t_part = tg1 - tg0
         assert np.allclose(tg2, tg0 + 2.0 * s2t_part, atol=1e-12)
 
+    def test_matches_the_per_triplet_reference_at_batch_shapes(self):
+        rng = np.random.default_rng(31)
+        for trial in range(150):
+            n = int(rng.integers(2, 9))
+            # 2 to n distinct ids, so some anchors share their id with others
+            ids = [f"s{c}" for c in rng.permutation(np.arange(n) % rng.integers(2, n + 1))]
+            tokens = rng.integers(2, 8, size=(n, 8))
+            lengths = rng.integers(1, 9, size=n)
+            grids = (rng.random((n, 16, 16, 16)) < 0.4).astype(np.float64)
+            tp, sp = perturbed_params(100 + trial)
+            cfg = tr.TrainerConfig(batch_size=n, margin=float(rng.uniform(0.05, 1.5)),
+                                   mu=float(rng.uniform(0.0, 2.0)))
+            loss, tg, sg, _ = tr.loss_and_gradients(tokens, lengths, grids, ids, tp, sp, cfg)
+            ref_loss, ref_tg, ref_sg = reference_loss_and_gradients(
+                tokens, lengths, grids, ids, tp, sp, cfg)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+            # relative to the joint gradient; where the loss is locally constant
+            # (a batch whose text embeddings coincide) the reference cancels to
+            # exactly 0 and the matrix form to ~1e-18, so the scale there is
+            # the embedding gradients' own, the largest hinge weight
+            got, want = np.concatenate([tg, sg]), np.concatenate([ref_tg, ref_sg])
+            scale = np.abs(want).max() or max(1.0, cfg.mu) / n
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
 
 class TestOptimizer:
     STEPS = 5
@@ -320,6 +398,10 @@ class TestFit:
     def test_empty_train_set_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
             tr.fit([], [], tr.TrainerConfig())
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(TrainingError, match="at least 2 samples"):
+            tr.fit(self.corpus()[:1], [], tr.TrainerConfig())
 
 
 class TestRecall:
