@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import re
 import warnings
@@ -379,26 +378,31 @@ def _pair_style(pair, schema):
     raise DatasetError(f"{pair} is not a known hole-pair")
 
 
-def _combo_ok(combo, slots, pair, style):
-    if style is None:
-        return True
-    inner = {e: c for (e, a), c in zip(slots, combo) if a == "inner diameter"}
-    outer = {e: c for (e, a), c in zip(slots, combo) if a == "outer diameter"}
-    a, b = pair
-    if style == "larger_smaller":
-        # keep class and millimetre orderings consistent with the naming
-        return inner[a] > inner[b] and outer[a] >= outer[b]
-    return inner[a] == inner[b]
-
-
 def enumerate_size_combos(structure, pair, schema=None):
     """All admissible size-class combinations, lexicographic over
     (slot order, class order)."""
     schema = schema or default_schema()
     slots = _size_slots(structure, pair, schema)
     style = _pair_style(pair, schema)
-    combos = [c for c in itertools.product(list(SizeClass), repeat=len(slots))
-              if _combo_ok(c, slots, pair, style)]
+    classes = list(SizeClass)
+    # digits[i, r] is digit i of r in base len(classes), most significant
+    # first, so r runs over the combinations in lexicographic order
+    digits = np.indices((len(classes),) * len(slots), dtype=np.int8).reshape(
+        len(slots), len(classes) ** len(slots))
+    if style is not None:
+        a, b = pair
+        inner_a, inner_b, outer_a, outer_b = (
+            digits[slots.index((entity, attr))]
+            for attr in ("inner diameter", "outer diameter") for entity in (a, b))
+        if style == "larger_smaller":
+            # keep class and millimetre orderings consistent with the naming
+            digits = digits[:, (inner_a > inner_b) & (outer_a >= outer_b)]
+        else:
+            digits = digits[:, inner_a == inner_b]
+    # zipping the slots' class columns builds each tuple once; with no slots
+    # the product holds one empty combination, which zip would not yield
+    columns = np.array(classes, dtype=object)[digits]
+    combos = list(zip(*columns)) if slots else [()]
     return slots, combos
 
 

@@ -2,12 +2,15 @@
 
 Text: token embedding -> three width-3 convolutions at the embedding width
 -> a fourth expanding to twice the width -> masked GRU (mean over valid
-states) -> two dense layers -> L2 normalization.
+states) -> two dense layers -> L2 normalization. A token batch is (B, L)
+with one length per row, 0 <= length <= L; anything else raises
+EncoderError.
 
 Shape: seven 3-d convolutions (four shape-preserving at 4 channels, then a
-stride-3 stack at 64/128/256 channels), 2x2x2 max pool, dense layer, L2
+stride-3 stack at 64/128/256 channels), max pool, dense layer, L2
 normalization. The stride-3 paddings (1, 1, 2) land the 16^3 input on 2^3
-ahead of the pool.
+at every depth, so the pool is the max over the eight positions of that
+final 2^3 map.
 
 Both forwards have exact reverse-mode counterparts used by the trainer.
 
@@ -179,15 +182,22 @@ def _token_matrix(tokens, lengths, config):
     ids = np.ascontiguousarray(tokens, dtype=np.int64)
     if ids.ndim != 2:
         raise EncoderError("token batch must be (batch, length)")
+    rows, L = ids.shape
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    if (ids < 0).any() or (ids >= config.vocab_size).any():
-        bad = int(ids.max())
-        raise EncoderError(f"token id {bad} out of range for vocabulary "
-                           f"of size {config.vocab_size}")
+    if lengths.shape != (rows,):
+        raise EncoderError(f"need one length per row: {rows} rows, lengths of "
+                           f"shape {lengths.shape}")
+    bad_lengths = lengths[(lengths < 0) | (lengths > L)]
+    if bad_lengths.size:
+        raise EncoderError(f"length {int(bad_lengths[0])} out of range [0, {L}]")
+    bad_ids = ids[(ids < 0) | (ids >= config.vocab_size)]
+    if bad_ids.size:
+        raise EncoderError(f"token id {int(bad_ids[0])} out of range for "
+                           f"vocabulary of size {config.vocab_size}")
     # regions past every sample's length cannot influence the embedding:
     # keep a 3-token margin so the four width-3 convolutions see identical
     # neighborhoods as in the full-length evaluation
-    keep = int(min(ids.shape[1], max(1, lengths.max() + 4)))
+    keep = int(min(L, max(1, lengths.max() + 4)))
     return ids[:, :keep], lengths
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import binary_propagation
 
 from ..errors import VoxelError
 from .solids import Aabb, contains, solid_aabb
@@ -160,26 +161,10 @@ def _surface_cells(verts_cells: np.ndarray, n: int) -> np.ndarray:
 
 def _exterior_fill(surface: np.ndarray) -> np.ndarray:
     """Cells 6-connected to the grid boundary without crossing the surface."""
-    n = surface.shape[0]
-    exterior = np.zeros_like(surface)
-    frontier = np.zeros_like(surface)
-    for a in range(3):
-        sl = [slice(None)] * 3
-        for edge in (0, n - 1):
-            sl[a] = edge
-            frontier[tuple(sl)] = True
-    frontier &= ~surface
-    while frontier.any():
-        exterior |= frontier
-        grown = np.zeros_like(frontier)
-        grown[1:, :, :] |= frontier[:-1, :, :]
-        grown[:-1, :, :] |= frontier[1:, :, :]
-        grown[:, 1:, :] |= frontier[:, :-1, :]
-        grown[:, :-1, :] |= frontier[:, 1:, :]
-        grown[:, :, 1:] |= frontier[:, :, :-1]
-        grown[:, :, :-1] |= frontier[:, :, 1:]
-        frontier = grown & ~surface & ~exterior
-    return exterior
+    free = ~surface
+    boundary = np.ones_like(surface)
+    boundary[1:-1, 1:-1, 1:-1] = False
+    return binary_propagation(boundary & free, mask=free)
 
 
 def _is_watertight(mesh: TriangleMesh) -> bool:

@@ -12,11 +12,13 @@ reshaped back, since `@` on a stack of matrices runs one small GEMM per
 leading index. A weight used transposed inside a per-step loop is made
 contiguous once per call, not read through the transposed view each step;
 with a single row to multiply, the view is as fast and the copy is skipped.
+
+Layers that only move values index by reshaping, not by looping over
+window offsets: stride-3 windows of a kernel-3 convolution do not overlap,
+and the pool's input is always a 2x2x2 map.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -77,7 +79,7 @@ def conv1d_backward(cache, dy):
 
 
 # ---------------------------------------------------------------------------
-# 3-d convolution (kernel 3, configurable stride and padding), channels last
+# 3-d convolution (kernel 3; stride 1 at padding 1, or stride 3), channels last
 
 def _im2col3d(x, stride, pad):
     """Columns of every 3x3x3 window of x: (B * out^3, 27 * Cin), window
@@ -115,11 +117,16 @@ def conv3d_backward(cache, dy):
         wflip = wmat.reshape(27, cin, cout)[::-1].transpose(0, 2, 1).reshape(27 * cout, cin)
         dcols, _ = _im2col3d(dy, 1, 1)
         return (dcols @ wflip).reshape(x_shape), dw, db
-    dcols = (dy2 @ wmat.T).reshape(B, out, out, out, 27, cin)
+    if stride != 3:
+        raise ValueError(f"conv3d_backward handles stride 1 at pad 1 and stride 3, "
+                         f"not stride {stride} at pad {pad}")
+    # kernel-3, stride-3 windows tile [0, 3 * out) of the padded grid without
+    # overlap, so each window's column gradient lands in its own 3x3x3 block
+    dcols = (dy2 @ wmat.T).reshape(B, out, out, out, 3, 3, 3, cin)
     dxp = np.zeros((B, D + 2 * pad, D + 2 * pad, D + 2 * pad, cin), dtype=dy.dtype)
-    span = stride * (out - 1) + 1
-    for i, (a, b, c) in enumerate(itertools.product(range(3), repeat=3)):
-        dxp[:, a:a + span:stride, b:b + span:stride, c:c + span:stride] += dcols[:, :, :, :, i]
+    span = 3 * out
+    dxp[:, :span, :span, :span] = dcols.transpose(0, 1, 4, 2, 5, 3, 6, 7).reshape(
+        B, span, span, span, cin)
     return dxp[:, pad:pad + D, pad:pad + D, pad:pad + D], dw, db
 
 
@@ -136,26 +143,22 @@ def relu_backward(mask, dy):
 
 
 def maxpool3d_forward(x):
-    """2x2x2 max pooling with stride 1 over (B, D, D, D, C)."""
-    D = x.shape[1]
-    out = D - 1
-    windows = np.stack(
-        [x[:, a:a + out, b:b + out, c:c + out]
-         for a, b, c in itertools.product(range(2), repeat=3)], axis=-1)
-    best = windows.argmax(axis=-1)
-    y = np.take_along_axis(windows, best[..., None], axis=-1)[..., 0]
-    return y, (best, x.shape)
+    """2x2x2 max pooling of the (B, 2, 2, 2, C) map that ends the shape
+    encoder's convolutions: the max over its eight positions, as a
+    (B, 1, 1, 1, C) map. Ties go to the first position in C order; the
+    winners' indices are cache[0]."""
+    B, C = x.shape[0], x.shape[4]
+    flat = x.reshape(B, 8, C)
+    best = flat.argmax(axis=1)[:, None]
+    y = np.take_along_axis(flat, best, axis=1)
+    return y.reshape(B, 1, 1, 1, C), (best, x.shape)
 
 
 def maxpool3d_backward(cache, dy):
     best, x_shape = cache
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    out = x_shape[1] - 1
-    offsets = list(itertools.product(range(2), repeat=3))
-    for i, (a, b, c) in enumerate(offsets):
-        mask = best == i
-        dx[:, a:a + out, b:b + out, c:c + out] += dy * mask
-    return dx
+    dx = np.zeros((x_shape[0], 8, x_shape[4]), dtype=dy.dtype)
+    np.put_along_axis(dx, best, dy.reshape(best.shape), axis=1)
+    return dx.reshape(x_shape)
 
 
 def linear_forward(x, w, b):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoders as enc
-from .dataset import tokenize
+from .dataset import Vocabulary, tokenize
 from .errors import RetrievalError
 from .geometry import VoxelGrid
 from .geometry.stl import _CUBE_FACES
@@ -157,9 +157,7 @@ def query(text: str, index: ShapeIndex, checkpoint: enc.Checkpoint,
     spec = parse_text(text, schema, lenient=lenient)
     canonical = render_text(spec, schema)
 
-    vocab_ids = checkpoint.vocab_words
-    from .dataset import Vocabulary
-    vocab = Vocabulary(dict(vocab_ids))
+    vocab = Vocabulary(dict(checkpoint.vocab_words))
     seq = tokenize(canonical, vocab, checkpoint.text.config.max_len)
     emb = enc.text_forward(checkpoint.text, seq.tokens[None, :],
                            np.array([seq.true_length]))
@@ -198,7 +196,7 @@ def export_preview(grid: VoxelGrid, format: str = "obj") -> bytes:
                 for dy in (0, 1):
                     for dx in (0, 1):
                         lines.append(f"v {ix + dx} {iy + dy} {iz + dz}")
-            for (_, tri_a, tri_b) in [(f[0], f[1], f[2]) for f in _CUBE_FACES]:
+            for _, tri_a, tri_b in _CUBE_FACES:
                 for tri in (tri_a, tri_b):
                     a, b, c = (base + _CORNER_INDEX[corner] for corner in tri)
                     faces.append(f"f {a} {b} {c}")
@@ -208,9 +206,6 @@ def export_preview(grid: VoxelGrid, format: str = "obj") -> bytes:
     if format == "pgm_slices":
         n = grid.resolution
         header = f"P5\n{n} {n * n}\n255\n".encode("ascii")
-        rows = []
-        for iz in range(n):
-            for iy in range(n):
-                rows.append((grid.occupancy[:, iy, iz] * 255).astype(np.uint8).tobytes())
-        return header + b"".join(rows)
+        # x-fastest order: one image row per (y, z), the z slices stacked
+        return header + (grid.linear() * 255).astype(np.uint8).tobytes()
     raise RetrievalError(f"unknown preview format {format!r}")

@@ -1,4 +1,5 @@
 import io
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ from rodfind import dataset as ds
 from rodfind import parse_text
 from rodfind.errors import DatasetError, ManifestError, NrrdError
 from rodfind.geometry import VoxelGrid
-from rodfind.taxonomy import load_schema
+from rodfind.taxonomy import SizeClass, default_schema, load_schema
 
 from test_taxonomy import small_schema
 
@@ -74,6 +75,50 @@ class TestGenerate:
                                     for e, a in s.spec.sizes.items()))
                        for s in samples}
         assert len(size_combos) == 10
+
+
+def reference_size_combos(structure, pair, schema):
+    """Every size-class tuple over the slots, filtered one by one by the
+    hole-pair naming's rule."""
+    slots = ds._size_slots(structure, pair, schema)
+    style = next(style for style, names in schema.hole_pairs if tuple(names) == pair)
+    a, b = pair
+    kept = []
+    for combo in itertools.product(list(SizeClass), repeat=len(slots)):
+        inner = {e: c for (e, attr), c in zip(slots, combo) if attr == "inner diameter"}
+        outer = {e: c for (e, attr), c in zip(slots, combo) if attr == "outer diameter"}
+        if style == "larger_smaller":
+            ok = inner[a] > inner[b] and outer[a] >= outer[b]
+        else:
+            ok = inner[a] == inner[b]
+        if ok:
+            kept.append(combo)
+    return slots, kept
+
+
+class TestEnumerateSizeCombos:
+    def test_matches_the_per_tuple_reference_in_order(self):
+        schema = default_schema()
+        # bases 0-2 name their hole pairs first/second, left-side/right-side
+        # and larger/smaller, which covers both filtering rules
+        bases = ds.base_structures(3)
+        assert len({pair for _, pair in bases}) == 3
+        for structure, pair in bases:
+            slots, combos = ds.enumerate_size_combos(structure, pair, schema)
+            want_slots, want = reference_size_combos(structure, pair, schema)
+            assert slots == want_slots
+            assert combos == want
+            assert all(type(c) is SizeClass for c in combos[0])
+
+    def test_no_size_slots_give_one_empty_combination(self):
+        schema = load_schema({
+            "name": "plain part", "root": "part",
+            "entities": [{"name": "part", "attributes": []},
+                         {"name": "body", "attributes": [
+                             {"name": "main structure", "kind": "structure",
+                              "values": ["bar"]}]}]})
+        structure = {"body": {"main structure": "bar"}}
+        assert ds.enumerate_size_combos(structure, None, schema) == ([], [()])
 
 
 class TestVocabulary:

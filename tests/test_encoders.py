@@ -147,6 +147,20 @@ class TestForward:
         with pytest.raises(EncoderError, match="out of range"):
             enc.text_forward(tp, tokens, np.array([16]))
 
+    @pytest.mark.parametrize("lengths, token, message", [
+        ([4], 2, "one length per row: 3 rows"),
+        ([4, 4], 2, "one length per row: 3 rows"),
+        ([4, -1, 4], 2, "length -1 out of range"),
+        ([4, 9, 4], 2, "length 9 out of range"),
+        ([4, 4, 4], -1, "token id -1 out of range"),
+    ], ids=["one-for-all", "count", "negative", "past-L", "negative-id"])
+    def test_malformed_token_batch_rejected(self, lengths, token, message):
+        tp, _ = tiny_params()
+        tokens = np.full((3, 8), 2)
+        tokens[1, 0] = token
+        with pytest.raises(EncoderError, match=message):
+            enc.text_forward(tp, tokens, np.array(lengths))
+
     def test_wrong_resolution_rejected(self):
         _, sp = enc.init_params(10, seed=0)
         with pytest.raises(EncoderError, match="shape batch"):

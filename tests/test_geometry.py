@@ -5,6 +5,7 @@ import pytest
 
 from rodfind import geometry as geo
 from rodfind.errors import BuildError, SpecError, VoxelError
+from rodfind.geometry.voxelize import _exterior_fill
 
 
 def oracle_centers(box_min, side, n):
@@ -158,6 +159,57 @@ class TestVoxelizeMesh:
                                  np.zeros(0, dtype=np.uint16))
         with pytest.raises(VoxelError, match="empty"):
             geo.voxelize_mesh(empty, 8)
+
+
+def reference_exterior_fill(surface):
+    """Breadth-first flood from the free boundary cells over 6-neighbours."""
+    n = surface.shape[0]
+    exterior = np.zeros_like(surface)
+    queue = [c for c in np.ndindex(surface.shape)
+             if not surface[c] and (0 in c or n - 1 in c)]
+    for c in queue:
+        exterior[c] = True
+    while queue:
+        x, y, z = queue.pop()
+        for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1), (0, 0, -1)):
+            c = (x + dx, y + dy, z + dz)
+            if all(0 <= i < n for i in c) and not surface[c] and not exterior[c]:
+                exterior[c] = True
+                queue.append(c)
+    return exterior
+
+
+def shell_with_gap(gap):
+    """Surface of the box [2, 5]^3 in an 8^3 grid, its one-cell-thick wall
+    opened at `gap`; the cavity is [3, 4]^3."""
+    surface = np.zeros((8, 8, 8), dtype=bool)
+    surface[2:6, 2:6, 2:6] = True
+    surface[3:5, 3:5, 3:5] = False
+    surface[gap] = False
+    return surface
+
+
+class TestExteriorFill:
+    @pytest.mark.parametrize("gap", [(2, 2, 3), (2, 2, 2)], ids=["edge", "corner"])
+    def test_gap_touching_the_cavity_only_diagonally_does_not_leak(self, gap):
+        exterior = _exterior_fill(shell_with_gap(gap))
+        assert exterior[gap]  # the gap itself opens onto the outside
+        assert not exterior[3:5, 3:5, 3:5].any()
+
+    def test_gap_sharing_a_face_with_the_cavity_leaks(self):
+        exterior = _exterior_fill(shell_with_gap((2, 3, 3)))
+        assert exterior[3:5, 3:5, 3:5].all()
+
+    # from a density of 0.5 on, some free cells of the 5^3 and 9^3 grids
+    # are enclosed
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.6])
+    def test_matches_the_breadth_first_reference(self, density):
+        rng = np.random.default_rng(int(density * 100))
+        for n in (2, 3, 5, 9):
+            surface = rng.random((n, n, n)) < density
+            assert np.array_equal(_exterior_fill(surface),
+                                  reference_exterior_fill(surface))
 
 
 def sat_overlap(tri, box_lo, cell):

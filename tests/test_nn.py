@@ -1,5 +1,6 @@
 """Layer-level checks of `rodfind.nn`: adjoint (dot-product) tests of the
-convolutions and a central-difference check of the masked GRU.
+convolutions, the max pool against a per-channel loop, and a
+central-difference check of the masked GRU.
 
 The convolutions are bilinear in (input, weight), so the backward pass is
 exactly the adjoint of the forward: <conv(x), dy> = <x, dx> for a fixed
@@ -10,6 +11,7 @@ the absolute products, which is <conv(|x|, |w|), |dy|>.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +78,49 @@ def test_conv1d_backward_is_the_adjoint_of_the_forward(batch, length, cin, cout,
     x = rng.standard_normal((batch, length, cin))
     w = rng.standard_normal((cout, cin, 3))
     check_conv_adjoint(nn.conv1d_forward, nn.conv1d_backward, x, w, seed)
+
+
+def test_conv3d_backward_refuses_a_stride_it_does_not_handle():
+    x = np.zeros((1, 4, 4, 4, 1))
+    _, cache = nn.conv3d_forward(x, np.zeros((1, 1, 3, 3, 3)), np.zeros(1), 2, 1)
+    with pytest.raises(ValueError, match="stride 2"):
+        nn.conv3d_backward(cache, np.zeros((1, 2, 2, 2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# max pool
+
+def reference_maxpool3d(x, dy):
+    """Per (b, c): the first maximum over the 2x2x2 offsets in C order, its
+    offset, and the input gradient that routes dy to it alone."""
+    B, C = x.shape[0], x.shape[4]
+    y = np.zeros((B, 1, 1, 1, C), dtype=x.dtype)
+    best = np.zeros((B, C), dtype=np.int64)
+    dx = np.zeros_like(x)
+    offsets = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
+    for b in range(B):
+        for c in range(C):
+            values = [x[b, i, j, k, c] for i, j, k in offsets]
+            winner = values.index(max(values))
+            y[b, 0, 0, 0, c] = values[winner]
+            best[b, c] = winner
+            dx[(b, *offsets[winner], c)] = dy[b, 0, 0, 0, c]
+    return y, best, dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool3d_matches_the_per_channel_reference_under_ties(dtype):
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        # three levels over eight positions: most channels tie at the max
+        x = rng.integers(-1, 2, size=(3, 2, 2, 2, 5)).astype(dtype)
+        dy = rng.standard_normal((3, 1, 1, 1, 5)).astype(dtype)
+        want_y, want_best, want_dx = reference_maxpool3d(x, dy)
+        y, cache = nn.maxpool3d_forward(x)
+        assert y.dtype == dtype and np.array_equal(y, want_y)
+        assert np.array_equal(cache[0].reshape(3, 5), want_best)
+        dx = nn.maxpool3d_backward(cache, dy)
+        assert dx.dtype == dtype and np.array_equal(dx, want_dx)
 
 
 # ---------------------------------------------------------------------------
