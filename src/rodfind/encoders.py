@@ -3,14 +3,21 @@
 Text: token embedding -> three width-3 convolutions at the embedding width
 -> a fourth expanding to twice the width -> masked GRU (mean over valid
 states) -> two dense layers -> L2 normalization. A token batch is (B, L)
-with one length per row, 0 <= length <= L; anything else raises
+with B >= 1 and one length per row, 0 <= length <= L; anything else raises
 EncoderError.
 
 Shape: seven 3-d convolutions (four shape-preserving at 4 channels, then a
 stride-3 stack at 64/128/256 channels), max pool, dense layer, L2
 normalization. The stride-3 paddings (1, 1, 2) land the 16^3 input on 2^3
 at every depth, so the pool is the max over the eight positions of that
-final 2^3 map.
+final 2^3 map. The last convolution's input is already 2^3: padded by 2,
+each of its stride-3 windows holds one input voxel, at the same position
+as the window's output, seen through one tap (tap 2 - 2i on an axis where
+the position is i). Its other 19 taps only ever multiply padding, so the
+layer stores just the live ones, as eight per-position Cin -> Cout maps
+(`live_taps`). The initializer still draws that layer's full 3x3x3 kernel
+and keeps the live taps, so every weight starts where it did when all 27
+were stored and the random stream of the layers after it is unchanged.
 
 Both forwards have exact reverse-mode counterparts used by the trainer.
 
@@ -113,11 +120,14 @@ class ShapeEncoderConfig:
 
     def layout(self):
         """(name, shape, fan_in) of every parameter in buffer order; fan_in
-        is None for the zero-initialized biases."""
+        is None for the zero-initialized biases. The last convolution keeps
+        only its live taps, as (8, Cin, Cout); its fan_in is still that of
+        the full kernel it is drawn from."""
         items = []
-        for i, (cin, cout, _, _) in enumerate(self.layer_plan(), start=1):
-            items += [(f"conv{i}_w", (cout, cin, 3, 3, 3), cin * 27),
-                      (f"conv{i}_b", (cout,), None)]
+        plan = self.layer_plan()
+        for i, (cin, cout, _, _) in enumerate(plan, start=1):
+            shape = (8, cin, cout) if i == len(plan) else (cout, cin, 3, 3, 3)
+            items += [(f"conv{i}_w", shape, cin * 27), (f"conv{i}_b", (cout,), None)]
         flat = self.back_channels[-1]
         items += [("fc_w", (self.out_dim, flat), flat), ("fc_b", (self.out_dim,), None)]
         return items
@@ -149,6 +159,15 @@ def _size(config) -> int:
     return sum(math.prod(shape) for _, shape, _ in config.layout())
 
 
+def live_taps(kernel):
+    """The taps of a (Cout, Cin, 3, 3, 3) kernel that a stride-3, pad-2
+    convolution of a 2^3 input reaches, as the (8, Cin, Cout) maps of the
+    eight positions in C order: position (i, j, k) sees tap
+    (2 - 2i, 2 - 2j, 2 - 2k)."""
+    cout, cin = kernel.shape[:2]
+    return kernel[:, :, ::-2, ::-2, ::-2].reshape(cout, cin, 8).transpose(2, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -164,12 +183,19 @@ def init_params(vocab_size: int, seed: int,
     if text_config.vocab_size != vocab_size:
         raise EncoderError("text_config.vocab_size disagrees with vocab_size")
     shape_config = shape_config or ShapeEncoderConfig()
+    taps = f"conv{shape_config.num_conv_layers}_w"
     out = []
     for config in (text_config, shape_config):
         params = Params(config, np.zeros(_size(config), dtype=dtype))
         for name, shape, fan_in in config.layout():
-            if fan_in is not None:
-                bound = np.sqrt(1.0 / fan_in)
+            if fan_in is None:
+                continue
+            bound = np.sqrt(1.0 / fan_in)
+            if config is shape_config and name == taps:
+                _, cin, cout = shape
+                params.arrays[name][...] = live_taps(
+                    rng.uniform(-bound, bound, size=(cout, cin, 3, 3, 3)))
+            else:
                 params.arrays[name][...] = rng.uniform(-bound, bound, size=shape)
         out.append(params)
     return tuple(out)
@@ -183,6 +209,8 @@ def _token_matrix(tokens, lengths, config):
     if ids.ndim != 2:
         raise EncoderError("token batch must be (batch, length)")
     rows, L = ids.shape
+    if rows == 0:
+        raise EncoderError("token batch is empty")
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
     if lengths.shape != (rows,):
         raise EncoderError(f"need one length per row: {rows} rows, lengths of "
@@ -262,11 +290,15 @@ def _grid_batch(grids, config, dtype):
         arrays = []
         for g in grids:
             arrays.append(g.occupancy if isinstance(g, VoxelGrid) else np.asarray(g))
+        if not arrays:
+            raise EncoderError("shape batch is empty")
         batch = np.stack(arrays)
     n = config.resolution
     if batch.ndim != 4 or batch.shape[1:] != (n, n, n):
         raise EncoderError(f"shape batch must be (batch, {n}, {n}, {n}), "
                            f"got {batch.shape}")
+    if len(batch) == 0:
+        raise EncoderError("shape batch is empty")
     return batch.astype(dtype)[..., None]
 
 
@@ -274,8 +306,13 @@ def shape_apply(params: Params, grids, with_cache=False):
     x = _grid_batch(grids, params.config, params.flat.dtype)
     a = params.arrays
     caches = []
-    for i, (_, _, stride, pad) in enumerate(params.config.layer_plan()):
-        x, c = nn.conv3d_forward(x, a[f"conv{i + 1}_w"], a[f"conv{i + 1}_b"], stride, pad)
+    plan = params.config.layer_plan()
+    for i, (_, _, stride, pad) in enumerate(plan):
+        w, b = a[f"conv{i + 1}_w"], a[f"conv{i + 1}_b"]
+        if i + 1 < len(plan):
+            x, c = nn.conv3d_forward(x, w, b, stride, pad)
+        else:
+            x, c = nn.position_linear_forward(x, w, b)
         caches.append((f"conv{i}", c))
         x, c = nn.relu_forward(x)
         caches.append((f"relu{i}", c))
@@ -306,10 +343,16 @@ def shape_backward(params: Params, caches, d_emb) -> np.ndarray:
     dy, g["fc_w"][...], g["fc_b"][...] = nn.linear_backward(stack.pop()[1], dy)
     dy = dy.reshape(stack.pop()[1])
     dy = nn.maxpool3d_backward(stack.pop()[1], dy)
-    for i in range(params.config.num_conv_layers, 0, -1):
+    last = params.config.num_conv_layers
+    for i in range(last, 0, -1):
         dy = nn.relu_backward(stack.pop()[1], dy)
-        dy, g[f"conv{i}_w"][...], g[f"conv{i}_b"][...] = nn.conv3d_backward(
-            stack.pop()[1], dy)
+        cache = stack.pop()[1]
+        if i == last:
+            grads = nn.position_linear_backward(cache, dy)
+        else:
+            # the first layer's input is the grid: no gradient to pass on
+            grads = nn.conv3d_backward(cache, dy, input_grad=i > 1)
+        dy, g[f"conv{i}_w"][...], g[f"conv{i}_b"][...] = grads
     return grad
 
 
@@ -318,7 +361,9 @@ def shape_backward(params: Params, caches, d_emb) -> np.ndarray:
 # shape) as little-endian float32 bytes; the header lists every parameter's
 # name, shape, byte offset and size, as the layout gives them
 
-CHECKPOINT_VERSION = 1
+# version 2 stores the last shape convolution as its live taps; the
+# 27-tap files of version 1 are refused
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -391,6 +436,9 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
         raise EncoderError(f"checkpoint metadata is not UTF-8 JSON: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != "rodfind-checkpoint":
         raise EncoderError("not a rodfind checkpoint")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise EncoderError(f"checkpoint version {header.get('version')!r} is not "
+                           f"supported; this build reads version {CHECKPOINT_VERSION}")
     try:
         text_config = _config_from_json(TextEncoderConfig, header["text_config"])
         shape_config = _config_from_json(ShapeEncoderConfig, header["shape_config"])

@@ -186,28 +186,23 @@ def _is_watertight(mesh: TriangleMesh) -> bool:
 
 
 def _ray_parity(point: np.ndarray, verts: np.ndarray) -> int:
-    """Crossing parity of a tilted ray from `point` (cell units)."""
+    """Crossing parity of a tilted ray from `point` (cell units): the
+    Moller-Trumbore test against all triangles `verts` (T, 3, 3) at once."""
     direction = np.array([1.0, 0.5773502691896258, 0.2679491924311227])
-    crossings = 0
-    for tri in verts:
-        e1 = tri[1] - tri[0]
-        e2 = tri[2] - tri[0]
-        p = np.cross(direction, e2)
-        det = e1 @ p
-        if abs(det) < 1e-12:
-            continue
-        t_vec = point - tri[0]
-        u = (t_vec @ p) / det
-        if u < 0 or u > 1:
-            continue
-        q = np.cross(t_vec, e1)
-        v = (direction @ q) / det
-        if v < 0 or u + v > 1:
-            continue
-        t = (e2 @ q) / det
-        if t > 0:
-            crossings += 1
-    return crossings % 2
+    v0 = verts[:, 0]
+    e1 = verts[:, 1] - v0
+    e2 = verts[:, 2] - v0
+    p = np.cross(direction, e2)
+    det = (e1 * p).sum(axis=1)
+    facing = np.abs(det) >= 1e-12  # rays parallel to a triangle never cross it
+    e1, e2, p, det = e1[facing], e2[facing], p[facing], det[facing]
+    t_vec = point - v0[facing]
+    q = np.cross(t_vec, e1)
+    u = (t_vec * p).sum(axis=1) / det
+    v = (q @ direction) / det
+    t = (e2 * q).sum(axis=1) / det
+    crossings = (u >= 0) & (u <= 1) & (v >= 0) & (u + v <= 1) & (t > 0)
+    return int(np.count_nonzero(crossings)) % 2
 
 
 def voxelize_mesh(mesh: TriangleMesh, resolution: int = DEFAULT_RESOLUTION, *,

@@ -177,28 +177,45 @@ def loss_and_gradients(tokens, lengths, grids, ids, text_params, shape_params,
 # ---------------------------------------------------------------------------
 # optimizer
 
+# The update makes about a dozen passes over its buffers; run over blocks
+# this long, the parameters, gradient, moments and scratch of one block
+# (5 x 256 KB in float32) stay in a 2 MB L2 cache through all of them.
+UPDATE_BLOCK = 1 << 16
+
+
 def _update(flat, grad, m, v, step, config):
     """One in-place step on a parameter buffer from its gradient and its
-    Adam moments m and v, three buffers with the same layout."""
-    if config.optimizer == "sgd":
-        flat -= config.learning_rate * grad
-        return
+    Adam moments m and v, three buffers with the same layout. Each element's
+    arithmetic is the same whether or not the buffers are cut into blocks."""
     b1, b2 = config.beta1, config.beta2
-    # fold both bias corrections into the step size; a Python float keeps
-    # the arithmetic in the parameters' dtype
-    lr = float(config.learning_rate) * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
-    tmp = np.multiply(grad, 1.0 - b1)
-    m *= b1
-    m += tmp
-    np.multiply(grad, 1.0 - b2, out=tmp)
-    tmp *= grad
-    v *= b2
-    v += tmp
-    np.sqrt(v, out=tmp)
-    tmp += config.eps
-    np.divide(m, tmp, out=tmp)
-    tmp *= lr
-    flat -= tmp
+    if config.optimizer == "sgd":
+        lr = float(config.learning_rate)
+    else:
+        # fold both bias corrections into the step size; a Python float keeps
+        # the arithmetic in the parameters' dtype
+        lr = float(config.learning_rate) * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
+    scratch = np.empty(min(UPDATE_BLOCK, flat.size), dtype=flat.dtype)
+    for lo in range(0, flat.size, UPDATE_BLOCK):
+        block = slice(lo, lo + UPDATE_BLOCK)
+        p, g = flat[block], grad[block]
+        tmp = scratch[:p.size]
+        if config.optimizer == "sgd":
+            np.multiply(g, lr, out=tmp)
+            p -= tmp
+            continue
+        m_b, v_b = m[block], v[block]
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m_b *= b1
+        m_b += tmp
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v_b *= b2
+        v_b += tmp
+        np.sqrt(v_b, out=tmp)
+        tmp += config.eps
+        np.divide(m_b, tmp, out=tmp)
+        tmp *= lr
+        p -= tmp
 
 
 # ---------------------------------------------------------------------------

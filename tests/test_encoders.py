@@ -74,10 +74,35 @@ class TestInit:
     def test_shape_parameter_count_closed_form(self):
         _, sp = enc.init_params(100, seed=0)
         expected = 0
-        for cin, cout in [(1, 4), (4, 4), (4, 4), (4, 4), (4, 64), (64, 128), (128, 256)]:
+        for cin, cout in [(1, 4), (4, 4), (4, 4), (4, 4), (4, 64), (64, 128)]:
             expected += cout * cin * 27 + cout
+        expected += 8 * 128 * 256 + 256                    # conv 7: its 8 live taps
         expected += 128 * 256 + 128                        # final dense
-        assert sp.flat.size == expected
+        assert sp.flat.size == expected == 525_004
+
+    @pytest.mark.parametrize("layers", [3, 5, 7])
+    def test_last_layer_starts_at_the_live_taps_of_the_full_kernel_draw(self, layers):
+        # the full 3x3x3 kernel is drawn in layout order, so every weight
+        # (and the dense layer drawn after it) starts where it would if all
+        # 27 taps were stored
+        cfg = enc.ShapeEncoderConfig(num_conv_layers=layers)
+        tcfg = enc.TextEncoderConfig(50)
+        _, sp = enc.init_params(50, 4, tcfg, cfg)
+        rng = np.random.default_rng(4)
+        for _, shape, fan_in in tcfg.layout():
+            if fan_in is not None:
+                rng.uniform(-1, 1, size=shape)
+        for (name, shape, fan_in), (cin, cout, _, _) in zip(cfg.layout()[::2],
+                                                          cfg.layer_plan()):
+            bound = np.sqrt(1.0 / fan_in)
+            full = rng.uniform(-bound, bound, size=(cout, cin, 3, 3, 3)).astype(np.float32)
+            want = full if len(shape) == 5 else np.stack(
+                [full[:, :, 2 - 2 * i, 2 - 2 * j, 2 - 2 * k].T
+                 for i in range(2) for j in range(2) for k in range(2)])
+            assert np.array_equal(sp.arrays[name], want), name
+        bound = np.sqrt(1.0 / 256)
+        fc = rng.uniform(-bound, bound, size=(128, 256)).astype(np.float32)
+        assert np.array_equal(sp.arrays["fc_w"], fc)
 
     def test_weight_bounds_follow_fan_in(self):
         tp, _ = enc.init_params(100, seed=3)
@@ -97,6 +122,9 @@ class TestShapeConfig:
         cfg = enc.ShapeEncoderConfig(num_conv_layers=layers)
         sizes, pooled = cfg.spatial_trace()
         assert sizes[-1] == 2 and pooled == 1
+        # the last layer's input is 2^3 at stride 3, pad 2: one live tap per
+        # window, which is what lets it store only those taps
+        assert sizes[-2] == 2 and cfg.layer_plan()[-1][2:] == (3, 2)
         assert len(cfg.layer_plan()) == layers
 
     def test_depth_out_of_range(self):
@@ -160,6 +188,14 @@ class TestForward:
         tokens[1, 0] = token
         with pytest.raises(EncoderError, match=message):
             enc.text_forward(tp, tokens, np.array(lengths))
+
+    def test_empty_batches_rejected(self):
+        tp, sp = tiny_params()
+        with pytest.raises(EncoderError, match="token batch is empty"):
+            enc.text_forward(tp, np.zeros((0, 8), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        for grids in (np.zeros((0, 16, 16, 16)), []):
+            with pytest.raises(EncoderError, match="shape batch is empty"):
+                enc.shape_forward(sp, grids)
 
     def test_wrong_resolution_rejected(self):
         _, sp = enc.init_params(10, seed=0)
@@ -234,20 +270,29 @@ MALFORMED = {
     "unknown config key": _edit_header(lambda h: h["text_config"].update(depth=3)),
     "non-UTF-8 header": lambda data: b'{"format": "\xff"}' + data[data.index(b"\n"):],
     "non-JSON header": lambda data: b"{format" + data[data.index(b"\n"):],
+    "version 1": _edit_header(lambda h: h.update(version=1)),
+    "no version": _edit_header(lambda h: h.pop("version")),
 }
 
 
 class TestCheckpoint:
     def test_golden_bytes(self):
-        # computed before the parameters moved into one buffer per encoder:
-        # they pin the file format and the initializer's draw order
+        # they pin the file format and the initializer's draw order; these are
+        # the version-1 files' bytes with the version set to 2 and the last
+        # shape layer's entry and data cut to its live taps
         tiny = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), {"shaft": 2},
                                     {"seed": 11})
         assert hashlib.sha256(tiny).hexdigest() == (
-            "af05f864b149f7109d4ffc5eaf10b12f7da106ee0ce10f2fc95c0d5c1378b7d1")
+            "8b4292d20081856bda847bc0bb8f32f78069fa358cc8d99f4be9453daca44de7")
         full = enc.checkpoint_bytes(*enc.init_params(50, 42), {}, {})
         assert hashlib.sha256(full).hexdigest() == (
-            "362c6908317c6e7a0e864e449df3c1384f0a857d9ae07144644e5e3bd8f67d23")
+            "cb6e76243e10223e1562a8677af9d57bfe1cd201e31a18d9c67f027b03081818")
+
+    def test_version_1_checkpoint_refused_with_both_versions_named(self):
+        data = _edit_header(lambda h: h.update(version=1))(
+            enc.checkpoint_bytes(*tiny_params(dtype=np.float32), {}, {}))
+        with pytest.raises(EncoderError, match="version 1 .* reads version 2"):
+            enc.parse_checkpoint(data)
 
     @pytest.mark.parametrize("corrupt", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_checkpoint_raises_encoder_error(self, corrupt):

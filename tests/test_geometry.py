@@ -5,6 +5,7 @@ import pytest
 
 from rodfind import geometry as geo
 from rodfind.errors import BuildError, SpecError, VoxelError
+from rodfind.geometry import voxelize
 from rodfind.geometry.voxelize import _exterior_fill
 
 
@@ -159,6 +160,85 @@ class TestVoxelizeMesh:
                                  np.zeros(0, dtype=np.uint16))
         with pytest.raises(VoxelError, match="empty"):
             geo.voxelize_mesh(empty, 8)
+
+
+def reference_ray_parity(point, verts):
+    """Crossing parity of the tilted ray from `point`, one triangle at a time
+    (Moller-Trumbore)."""
+    direction = np.array([1.0, 0.5773502691896258, 0.2679491924311227])
+    crossings = 0
+    for tri in verts:
+        e1 = tri[1] - tri[0]
+        e2 = tri[2] - tri[0]
+        p = np.cross(direction, e2)
+        det = e1 @ p
+        if abs(det) < 1e-12:
+            continue
+        t_vec = point - tri[0]
+        u = (t_vec @ p) / det
+        if u < 0 or u > 1:
+            continue
+        q = np.cross(t_vec, e1)
+        v = (direction @ q) / det
+        if v < 0 or u + v > 1:
+            continue
+        t = (e2 @ q) / det
+        if t > 0:
+            crossings += 1
+    return crossings % 2
+
+
+def hub_mesh(segments, outer=10.0, inner=5.0, height=8.0):
+    """Watertight annulus of `segments` sides with a through bore: outer and
+    inner walls, top and bottom rings, 8 * segments triangles."""
+    angle = 2 * np.pi * np.arange(segments) / segments
+    ring = np.stack([np.cos(angle), np.sin(angle), np.zeros(segments)], axis=1)
+    ob, ot, ib, it = (radius * ring + [0.0, 0.0, z]
+                      for radius, z in ((outer, 0.0), (outer, height), (inner, 0.0),
+                                        (inner, height)))
+    a, b = np.arange(segments), np.roll(np.arange(segments), -1)
+    tris = np.concatenate([np.stack(corners, axis=1) for corners in (
+        (ob[a], ob[b], ot[b]), (ob[a], ot[b], ot[a]), (ib[a], it[a], it[b]),
+        (ib[a], it[b], ib[b]), (ot[a], ot[b], it[b]), (ot[a], it[b], it[a]),
+        (ob[a], ib[a], ib[b]), (ob[a], ib[b], ob[b]))])
+    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    return geo.TriangleMesh(normals / np.linalg.norm(normals, axis=1, keepdims=True),
+                            tris, None)
+
+
+class TestRayParity:
+    def test_matches_the_per_triangle_reference_on_random_rays(self):
+        rng = np.random.default_rng(31)
+        direction = np.array([1.0, 0.5773502691896258, 0.2679491924311227])
+        for _ in range(20):
+            verts = rng.uniform(0, 8, size=(int(rng.integers(3, 60)), 3, 3))
+            # a triangle with no area and one parallel to the ray, which the
+            # ray never crosses
+            verts[0, 1] = verts[0, 0]
+            verts[1, 1] = verts[1, 0] + 2.0 * direction
+            for point in rng.uniform(-1, 9, size=(25, 3)):
+                assert voxelize._ray_parity(point, verts) == reference_ray_parity(point, verts)
+
+    def test_hub_is_watertight_and_closed(self):
+        hub = hub_mesh(16)
+        assert voxelize._is_watertight(hub)
+        grid = geo.voxelize_mesh(hub, 8, mode="fill")
+        assert grid.occupied_count > 0
+
+    # three holes that leak at different cells, and one (inner wall) whose
+    # flood fill reaches no cell inside by parity, so every ray is cast
+    @pytest.mark.parametrize("drop", [0, 50, 115, 40])
+    def test_leaky_hub_reports_the_reference_leak(self, drop, monkeypatch):
+        hub = hub_mesh(16)
+        keep = np.arange(len(hub)) != drop
+        leaky = geo.TriangleMesh(hub.normals[keep], hub.vertices[keep], hub.attrs[keep])
+        messages = []
+        for parity in (voxelize._ray_parity, reference_ray_parity):
+            monkeypatch.setattr(voxelize, "_ray_parity", parity)
+            with pytest.raises(VoxelError, match="not watertight") as raised:
+                geo.voxelize_mesh(leaky, 8, mode="fill")
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
 
 def reference_exterior_fill(surface):

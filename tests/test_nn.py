@@ -1,6 +1,7 @@
 """Layer-level checks of `rodfind.nn`: adjoint (dot-product) tests of the
-convolutions, the max pool against a per-channel loop, and a
-central-difference check of the masked GRU.
+convolutions and the per-position layer, the max pool against a per-channel
+loop, the per-position layer against the stride-3 convolution it stands for,
+and the masked GRU against central differences and a per-step loop.
 
 The convolutions are bilinear in (input, weight), so the backward pass is
 exactly the adjoint of the forward: <conv(x), dy> = <x, dx> for a fixed
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import gradcheck as gc
+from rodfind import encoders as enc
 from rodfind import nn
 
 ADJOINT_RTOL = 1e-12
@@ -25,8 +28,8 @@ def assert_adjoint(lhs, rhs, scale):
     assert abs(lhs - rhs) <= ADJOINT_RTOL * scale, (lhs, rhs, scale)
 
 
-def check_conv_adjoint(forward, backward, x, w, dy_seed, *args):
-    zero_b = np.zeros(w.shape[0])
+def check_conv_adjoint(forward, backward, x, w, dy_seed, *args, cout_axis=0):
+    zero_b = np.zeros(w.shape[cout_axis])
     y, cache = forward(x, w, zero_b, *args)
     dy = np.random.default_rng(dy_seed).standard_normal(y.shape)
     dx, dw, db = backward(cache, dy)
@@ -38,7 +41,7 @@ def check_conv_adjoint(forward, backward, x, w, dy_seed, *args):
     assert_adjoint(lhs, float((x * dx).sum()), scale)
     assert_adjoint(lhs, float((w * dw).sum()), scale)
     # the bias adds b to every output position
-    b = np.random.default_rng(dy_seed + 1).standard_normal(w.shape[0])
+    b = np.random.default_rng(dy_seed + 1).standard_normal(w.shape[cout_axis])
     y_b = forward(np.zeros_like(x), w, b, *args)[0]
     assert_adjoint(float((y_b * dy).sum()), float(b @ db), float(np.abs(y_b * dy).sum()))
 
@@ -80,11 +83,73 @@ def test_conv1d_backward_is_the_adjoint_of_the_forward(batch, length, cin, cout,
     check_conv_adjoint(nn.conv1d_forward, nn.conv1d_backward, x, w, seed)
 
 
+def test_conv3d_backward_without_input_grad_gives_the_same_weight_grads():
+    rng = np.random.default_rng(12)
+    for stride, pad, edge in [(1, 1, 5), (3, 1, 7)]:
+        x = rng.standard_normal((2, edge, edge, edge, 3)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, 3, 3)).astype(np.float32)
+        y, cache = nn.conv3d_forward(x, w, np.zeros(4, np.float32), stride, pad)
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        _, dw, db = nn.conv3d_backward(cache, dy)
+        dx, dw_only, db_only = nn.conv3d_backward(cache, dy, input_grad=False)
+        assert dx is None
+        assert np.array_equal(dw, dw_only) and np.array_equal(db, db_only)
+
+
 def test_conv3d_backward_refuses_a_stride_it_does_not_handle():
     x = np.zeros((1, 4, 4, 4, 1))
     _, cache = nn.conv3d_forward(x, np.zeros((1, 1, 3, 3, 3)), np.zeros(1), 2, 1)
     with pytest.raises(ValueError, match="stride 2"):
         nn.conv3d_backward(cache, np.zeros((1, 2, 2, 2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the last shape layer: eight per-position maps in place of a stride-3 conv
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-13), (np.float32, 1e-5)])
+def test_position_linear_is_the_stride_3_pad_2_conv_of_a_2_cube(dtype, rtol):
+    # every weight of the full kernel random, the 19 dead taps included: the
+    # conv never lets them touch a real voxel, so they must not matter. The
+    # two sides sum the same products over Cin in different orders; rtol is
+    # relative to the sum of their absolute values.
+    rng = np.random.default_rng(13)
+    for batch, cin, cout in [(1, 1, 1), (4, 5, 3), (3, 16, 24)]:
+        x = rng.standard_normal((batch, 2, 2, 2, cin)).astype(dtype)
+        w = rng.standard_normal((cout, cin, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        dy = rng.standard_normal((batch, 2, 2, 2, cout)).astype(dtype)
+        want_y, conv_cache = nn.conv3d_forward(x, w, b, 3, 2)
+        want_dx, want_dw, want_db = nn.conv3d_backward(conv_cache, dy)
+        taps = enc.live_taps(w)
+        y, cache = nn.position_linear_forward(x, taps, b)
+        dx, dw, db = nn.position_linear_backward(cache, dy)
+        abs_taps = enc.live_taps(np.abs(w))
+        scale_y = nn.position_linear_forward(np.abs(x), abs_taps, np.abs(b))[0]
+        scale_dx = np.abs(dy).reshape(batch, 8, cout).transpose(1, 0, 2) @ \
+            abs_taps.transpose(0, 2, 1)
+        scale_dw = np.abs(x).reshape(batch, 8, cin).transpose(1, 2, 0) @ \
+            np.abs(dy).reshape(batch, 8, cout).transpose(1, 0, 2)
+        assert y.dtype == dtype and y.shape == want_y.shape
+        assert (np.abs(y - want_y) <= rtol * scale_y).all()
+        assert (np.abs(dx - want_dx).reshape(batch, 8, cin).transpose(1, 0, 2)
+                <= rtol * scale_dx).all()
+        assert (np.abs(dw - enc.live_taps(want_dw)) <= rtol * scale_dw).all()
+        assert np.allclose(db, want_db, rtol=rtol, atol=0)
+        # the conv's dead taps get exactly zero gradient
+        dead = np.ones((3, 3, 3), bool)
+        dead[::2, ::2, ::2] = False
+        assert (want_dw[:, :, dead] == 0).all()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(batch=st.integers(1, 3), cin=st.integers(1, 5), cout=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 16))
+def test_position_linear_backward_is_the_adjoint_of_the_forward(batch, cin, cout, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, 2, 2, 2, cin))
+    w = rng.standard_normal((8, cin, cout))
+    check_conv_adjoint(nn.position_linear_forward, nn.position_linear_backward, x, w, seed,
+                       cout_axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +226,77 @@ def test_gru_backward_matches_finite_differences_with_masked_steps():
     assert worst < gc.RTOL
 
 
+def reference_gru(x, lengths, w_ih, w_hh, b_ih, b_hh, dpool):
+    """The masked GRU as a per-step loop with scipy's sigmoid, forward and
+    backward: the mean of the valid states and the gradients of
+    <mean, dpool> w.r.t. x, w_ih, w_hh, b_ih and b_hh."""
+    B, L, _ = x.shape
+    H = w_hh.shape[1]
+    steps = int(min(L, max(lengths, default=0)))
+    gx_all = x @ w_ih.T + b_ih
+    h = np.zeros((B, H))
+    denom = np.maximum(lengths, 1)[:, None]
+    pooled = np.zeros((B, H))
+    trace = []
+    for t in range(steps):
+        gh = h @ w_hh.T + b_hh
+        gx = gx_all[:, t]
+        r = expit(gx[:, :H] + gh[:, :H])
+        z = expit(gx[:, H:2 * H] + gh[:, H:2 * H])
+        n = np.tanh(gx[:, 2 * H:] + r * gh[:, 2 * H:])
+        active = (t < lengths)[:, None]
+        trace.append((h, r, z, n, gh[:, 2 * H:], active))
+        h = np.where(active, (1.0 - z) * n + z * h, h)
+        pooled += np.where(active, h, 0.0)
+    dgx_all = np.zeros_like(gx_all)
+    dw_hh, db_hh = np.zeros_like(w_hh), np.zeros_like(b_hh)
+    dh = np.zeros((B, H))
+    for t in range(steps - 1, -1, -1):
+        h_prev, r, z, n, gh_n, active = trace[t]
+        dh = dh + np.where(active, dpool / denom, 0.0)
+        dh_new = np.where(active, dh, 0.0)
+        dn_pre = dh_new * (1.0 - z) * (1.0 - n * n)
+        dgh = np.concatenate([dn_pre * gh_n * r * (1.0 - r),
+                              dh_new * (h_prev - n) * z * (1.0 - z), dn_pre * r], axis=1)
+        dgx_all[:, t] = np.concatenate([dgh[:, :2 * H], dn_pre], axis=1)
+        dw_hh += dgh.T @ h_prev
+        db_hh += dgh.sum(axis=0)
+        dh = np.where(active, dh * z, dh) + dgh @ w_hh
+    dgx2 = dgx_all.reshape(B * L, 3 * H)
+    return (pooled / denom, (dgx_all @ w_ih, dgx2.T @ x.reshape(B * L, -1), dw_hh,
+                             dgx2.sum(axis=0), db_hh))
+
+
+# Set from the dtype before the loop was rewritten: each value may differ from
+# the float64 reference by this much times the largest magnitude in its
+# array. The tanh form of the sigmoid and the reordered products move each
+# step's values by a few ulp, and a few steps compound them: 1e-12 is ~4500
+# float64 eps, 1e-5 ~80 float32 eps.
+GRU_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("lengths, length", [([5], 7), ([0], 4), ([7, 4, 0, 2], 9)],
+                         ids=["B1-tail", "B1-empty", "B4-masked"])
+def test_gru_matches_the_per_step_reference(dtype, lengths, length):
+    lengths = np.array(lengths)
+    p = _GruParams(np.random.default_rng(len(lengths) + length), batch=len(lengths),
+                   length=length, x_dim=3, hidden=5)
+    dpool = np.random.default_rng(9).standard_normal((len(lengths), 5))
+    want_y, want_grads = reference_gru(p.x, lengths, p.w_ih, p.w_hh, p.b_ih, p.b_hh, dpool)
+    args = [a.astype(dtype) for a in (p.x, p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
+    y, cache = nn.gru_forward(args[0], lengths, *args[1:])
+    grads = nn.gru_backward(cache, dpool.astype(dtype))
+    forward_only, _ = nn.gru_forward(args[0], lengths, *args[1:], want_trace=False)
+    assert np.array_equal(forward_only, y)
+    for got, want in zip((y, *grads), (want_y, *want_grads)):
+        assert got.dtype == dtype and got.shape == want.shape
+        scale = max(np.abs(want).max(), np.finfo(np.float64).tiny)
+        assert np.abs(got - want).max() <= GRU_RTOL[dtype] * scale
+
+
 def test_gru_single_row_matches_the_same_row_in_a_batch():
-    # one row multiplies the transposed w_hh view, several a contiguous copy
+    # a row's state does not depend on the other rows of its batch
     p = _GruParams(np.random.default_rng(5), batch=3, length=6, x_dim=3, hidden=4)
     lengths = np.array([6, 3, 5])
     batch, _ = nn.gru_forward(p.x, lengths, p.w_ih, p.w_hh, p.b_ih, p.b_hh)

@@ -366,6 +366,35 @@ class TestOptimizer:
         assert flat.dtype == np.float32
         assert np.array_equal(flat, before - cfg.learning_rate * grad)
 
+    @staticmethod
+    def unblocked_update(flat, grad, m, v, step, config):
+        """The update as one pass over whole buffers."""
+        if config.optimizer == "sgd":
+            flat -= config.learning_rate * grad
+            return
+        b1, b2 = config.beta1, config.beta2
+        lr = float(config.learning_rate) * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1)
+        v *= b2
+        v += np.multiply(grad, 1.0 - b2) * grad
+        flat -= lr * (m / (np.sqrt(v) + config.eps))
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_blocked_update_is_bitwise_one_unblocked_pass(self, optimizer):
+        cfg = tr.TrainerConfig(learning_rate=1e-2, optimizer=optimizer)
+        rng = np.random.default_rng(14)
+        size = 2 * tr.UPDATE_BLOCK + 12_345  # two whole blocks and a part
+        blocked = [rng.standard_normal(size).astype(np.float32), np.zeros(size, np.float32),
+                   np.zeros(size, np.float32)]
+        whole = [a.copy() for a in blocked]
+        for t in range(1, self.STEPS + 1):
+            grad = rng.standard_normal(size).astype(np.float32)
+            tr._update(blocked[0], grad, *blocked[1:], t, cfg)
+            self.unblocked_update(whole[0], grad, *whole[1:], t, cfg)
+            for a, b in zip(blocked, whole):
+                assert a.dtype == np.float32 and np.array_equal(a, b)
+
 
 class TestFit:
     def corpus(self):
