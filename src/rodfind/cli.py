@@ -23,6 +23,14 @@ def _data_root(value: str | None) -> Path:
     return Path(value or os.environ.get("RODFIND_DATA_DIR") or ".")
 
 
+def _k_values(text: str) -> list[int]:
+    """`eval --k`: comma-separated integers, each at least 1."""
+    ks = [int(k) for k in text.split(",")]  # argparse reports a ValueError
+    if min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"every k must be at least 1, got {text!r}")
+    return ks
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rodfind", description=__doc__)
     parser.add_argument("--config", help="JSON file with default option values")
@@ -90,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", choices=("train", "val", "all"), default="val")
-    p.add_argument("--k", default="1,8", help="comma-separated k values")
+    p.add_argument("--k", type=_k_values, default="1,8", help="comma-separated k values")
     p.add_argument("--json", action="store_true")
     parser.commands = sub.choices
     return parser
@@ -125,6 +133,8 @@ def _apply_config(parser, argv):
         if action is None or action.dest == "help":
             raise _UsageError(f"rodfind: --config key {key!r} is not an option "
                               f"of {command}\n{sub.format_usage()}")
+        if action.type is not None and isinstance(value, (int, float)):
+            value = str(value)  # argparse converts a string default with the type
         action.default = value
         action.required = False
 
@@ -165,13 +175,9 @@ def _cmd_gen_dataset(args) -> int:
     out = _data_root(args.out)
     grids_dir = out / "grids"
     grids_dir.mkdir(parents=True, exist_ok=True)
-    kwargs = {}
-    if args.total is not None:
-        kwargs["total"] = args.total
-    else:
-        kwargs["per_base"] = args.per_base if args.per_base is not None else 48
-    samples = ds.generate_variants(bases=args.bases, seed=args.seed,
-                                   resolution=args.resolution, **kwargs)
+    samples = ds.generate_variants(bases=args.bases, per_base=args.per_base,
+                                   total=args.total, seed=args.seed,
+                                   resolution=args.resolution)
     train, val = ds.split_samples(samples, args.val_fraction, seed=args.seed)
     val_ids = {s.id for s in val}
 
@@ -225,12 +231,12 @@ def _cmd_train(args) -> int:
     from . import encoders as enc
     from . import training as tr
 
-    _, train_samples = _load_split(args.manifest, "train")
-    _, val_samples = _load_split(args.manifest, "val")
     config = tr.TrainerConfig(batch_size=args.batch_size, learning_rate=args.lr,
                               epochs=args.epochs, margin=args.margin, mu=args.mu,
                               seed=args.seed, optimizer=args.optimizer)
     shape_config = enc.ShapeEncoderConfig(num_conv_layers=args.layers)
+    _, train_samples = _load_split(args.manifest, "train")
+    _, val_samples = _load_split(args.manifest, "val")
     result = tr.fit(train_samples, val_samples, config, shape_config=shape_config)
     enc.save_checkpoint(args.out, result.text_params, result.shape_params,
                         result.vocab.word_to_id,
@@ -285,8 +291,8 @@ def _cmd_tune(args) -> int:
         config = tr.TrainerConfig(seed=args.seed, **overrides)
         result = tr.fit(train_samples, val_samples, config,
                         shape_config=enc.ShapeEncoderConfig(num_conv_layers=layers))
-        return 100.0 * tr.evaluate_recall(result.text_params, result.shape_params,
-                                          val_samples, 1, result.vocab)
+        # fit's last epoch already measured val recall@1 with the final params
+        return 100.0 * result.log[-1].val_recall1
 
     report = doe.run_tuning(design, objective, budget=args.budget,
                             report_path=args.out)
@@ -350,16 +356,15 @@ def _cmd_eval(args) -> int:
     checkpoint = enc.load_checkpoint(args.checkpoint)
     _, samples = _load_split(args.manifest, args.split)
     vocab = ds.Vocabulary(dict(checkpoint.vocab_words))
-    ks = [int(k) for k in str(args.k).split(",")]
-    values = {}
-    for k in ks:
-        values[k] = tr.evaluate_recall(checkpoint.text, checkpoint.shape,
-                                       samples, k, vocab)
+    text_embs = tr.embed_texts(checkpoint.text, samples, vocab)
+    shape_embs = tr.embed_shapes(checkpoint.shape, samples)
+    ids = [s.id for s in samples]
+    values = {k: tr.recall_from_embeddings(text_embs, shape_embs, ids, k) for k in args.k}
     if args.json:
         print(json.dumps({"split": args.split, "count": len(samples),
                           "recall": {str(k): v for k, v in values.items()}}, indent=2))
     else:
-        for k in ks:
+        for k in args.k:
             print(f"recall@{k}\t{values[k]:.4f}")
     return 0
 

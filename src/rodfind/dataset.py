@@ -68,7 +68,6 @@ class Vocabulary:
     """word -> id table; ids 0/1 reserved for PAD/UNK, contiguous from 0."""
 
     word_to_id: dict[str, int]
-    min_count: int = DEFAULT_MIN_COUNT
 
     @property
     def size(self) -> int:
@@ -89,7 +88,7 @@ def build_vocabulary(texts, min_count: int = DEFAULT_MIN_COUNT) -> Vocabulary:
         counts.update(normalize_words(text))
     kept = sorted((w for w, c in counts.items() if c >= min_count),
                   key=lambda w: (-counts[w], w))
-    return Vocabulary({w: i + 2 for i, w in enumerate(kept)}, min_count)
+    return Vocabulary({w: i + 2 for i, w in enumerate(kept)})
 
 
 @dataclass
@@ -166,8 +165,8 @@ def read_nrrd(data: bytes) -> VoxelGrid:
         sizes = [int(s) for s in fields["sizes"].split()]
     except (KeyError, ValueError):
         raise NrrdError("missing or malformed field 'sizes'") from None
-    if len(sizes) != 3 or len(set(sizes)) != 1:
-        raise NrrdError(f"unsupported field 'sizes': {sizes} (need a cube)")
+    if len(sizes) != 3 or len(set(sizes)) != 1 or sizes[0] < 1:
+        raise NrrdError(f"unsupported field 'sizes': {sizes} (need a non-empty cube)")
     n = sizes[0]
     expected = n ** 3
     if len(payload) != expected:
@@ -264,6 +263,8 @@ def read_manifest(source, check_paths: bool = True) -> DatasetManifest:
             if len(record) != 4:
                 raise ManifestError(f"manifest row has {len(record)} fields: {record}")
             rows.append(ManifestRow(*record))
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest is not UTF-8: {exc}") from None
     finally:
         if stream is not source:
             stream.close()
@@ -277,7 +278,12 @@ def read_manifest(source, check_paths: bool = True) -> DatasetManifest:
                 + ("..." if len(missing) > 5 else ""))
     meta = {}
     if meta_path is not None and meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise ManifestError(f"{meta_path}: not UTF-8 JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ManifestError(f"{meta_path}: metadata must be a JSON object")
     return DatasetManifest(rows, meta)
 
 
@@ -411,7 +417,7 @@ def _distribute(total, groups):
     return [base + (1 if i < extra else 0) for i in range(groups)]
 
 
-def generate_variants(bases=None, per_base=None, total=None, seed: int = 0,
+def generate_variants(bases=15, per_base=None, total=None, seed: int = 0,
                       schema: FeatureSchema | None = None,
                       resolution: int = 16, with_grids: bool = True) -> list[Sample]:
     """Generate the paired corpus.
@@ -423,8 +429,6 @@ def generate_variants(bases=None, per_base=None, total=None, seed: int = 0,
     unique within a base, so every text is unique. Deterministic for a seed.
     """
     schema = schema or default_schema()
-    if bases is None:
-        bases = 15
     if isinstance(bases, int):
         bases = base_structures(bases)
     if total is not None and per_base is not None:

@@ -127,6 +127,8 @@ def load_index(path) -> ShapeIndex:
                                  f"or not a {kind.__name__}")
     blob = data[newline + 1:]
     count, dim = len(header["ids"]), header["dim"]
+    if dim < 1:
+        raise RetrievalError(f"{path}: embedding width dim={dim} must be positive")
     expected = count * dim * 4
     if len(blob) != expected:
         raise RetrievalError(f"{path}: embedding block holds {len(blob)} bytes, "
@@ -137,10 +139,10 @@ def load_index(path) -> ShapeIndex:
 
 
 def query(text: str, index: ShapeIndex, checkpoint: enc.Checkpoint,
-          k: int = DEFAULT_K, schema=None, lenient: bool = True) -> QueryResult:
+          k: int = DEFAULT_K, lenient: bool = True) -> QueryResult:
     """Exact exhaustive nearest-neighbor lookup for a textual requirement.
 
-    The text must parse against the schema (leniently by default); the
+    The text must parse against the default schema (leniently by default); the
     canonical re-rendering is what gets embedded, so synonyms of sentence
     order do not perturb the lookup. Cross-checkpoint queries are refused.
     """
@@ -153,7 +155,7 @@ def query(text: str, index: ShapeIndex, checkpoint: enc.Checkpoint,
             "index was built from a different checkpoint "
             f"({index.fingerprint[:12]}... vs {checkpoint.fingerprint[:12]}...); "
             "embeddings from different training runs are not comparable")
-    schema = schema or default_schema()
+    schema = default_schema()
     spec = parse_text(text, schema, lenient=lenient)
     canonical = render_text(spec, schema)
 

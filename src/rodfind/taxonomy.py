@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import ParseError, ParseWarning, SchemaError, SpecError
@@ -361,22 +362,15 @@ def _attribute_items(spec: LinkingRodSpec, schema: FeatureSchema):
 
 def spec_to_triplets(spec: LinkingRodSpec, schema: FeatureSchema | None = None) -> list[FeatureTriplet]:
     """Canonical triplet list: a structural-feature link per present entity
-    plus one triplet per assigned attribute, in schema order."""
+    plus one triplet per assigned attribute, in schema order. A resolvable
+    spec assigns every entity it names at least one schema attribute, so
+    the attribute items name every present entity."""
     schema = schema or default_schema()
     _require_resolvable(spec, schema)
     triplets = []
-    present = set(spec.entity_names())
-    for ent in schema.entities:
-        if ent.name == schema.root or ent.name not in present:
-            continue
-        triplets.append(FeatureTriplet(schema.root, RELATION, ent.name))
-        struct = spec.structure.get(ent.name, {})
-        sizes = spec.sizes.get(ent.name, {})
-        for attr in ent.attributes:
-            if attr.name in struct:
-                triplets.append(FeatureTriplet(ent.name, attr.name, struct[attr.name]))
-            elif attr.name in sizes:
-                triplets.append(FeatureTriplet(ent.name, attr.name, sizes[attr.name].label))
+    for entity, items in groupby(_attribute_items(spec, schema), key=lambda item: item[0]):
+        triplets.append(FeatureTriplet(schema.root, RELATION, entity))
+        triplets.extend(FeatureTriplet(*item) for item in items)
     return triplets
 
 

@@ -4,6 +4,9 @@ The batch loss is Loss = Loss_t2s + mu * Loss_s2t: each direction mines, per
 anchor, the semi-hard negative with the smallest anchor-negative distance
 (falling back to the hardest negative when no semi-hard one exists) and
 averages the hinge over anchors.
+
+The optimizer is plain SGD or Adam (Kingma & Ba, arXiv:1412.6980) with the
+published constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ EASY = "easy"
 HARD = "hard"
 SEMI_HARD = "semi_hard"
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainerConfig:
@@ -32,19 +37,19 @@ class TrainerConfig:
     mu: float = 1.0
     seed: int = 0
     optimizer: str = "adam"  # "adam" | "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 2:
             raise TrainingError("batch_size must be at least 2 (mining needs a negative)")
-        for name in ("learning_rate", "margin", "mu", "beta1", "beta2", "eps"):
+        if self.epochs < 1:
+            raise TrainingError(f"epochs must be at least 1, got {self.epochs}")
+        for name in ("learning_rate", "margin", "mu"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise TrainingError(f"{name} must be finite, got {value}")
-        if self.margin <= 0:
-            raise TrainingError("margin must be positive")
+        for name in ("learning_rate", "margin"):
+            if getattr(self, name) <= 0:
+                raise TrainingError(f"{name} must be positive")
         if self.mu < 0:
             raise TrainingError("mu must be nonnegative")
         if self.optimizer not in ("adam", "sgd"):
@@ -187,7 +192,7 @@ def _update(flat, grad, m, v, step, config):
     """One in-place step on a parameter buffer from its gradient and its
     Adam moments m and v, three buffers with the same layout. Each element's
     arithmetic is the same whether or not the buffers are cut into blocks."""
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     if config.optimizer == "sgd":
         lr = float(config.learning_rate)
     else:
@@ -212,7 +217,7 @@ def _update(flat, grad, m, v, step, config):
         v_b *= b2
         v_b += tmp
         np.sqrt(v_b, out=tmp)
-        tmp += config.eps
+        tmp += ADAM_EPS
         np.divide(m_b, tmp, out=tmp)
         tmp *= lr
         p -= tmp
@@ -237,36 +242,31 @@ class TrainResult:
     log: list[EpochLog] = field(default_factory=list)
 
 
-def _prepare(samples, vocab, max_len):
+def _token_batch(samples, vocab, max_len):
+    """The samples' texts as a (B, max_len) token matrix and B lengths."""
     seqs = [tokenize(s.text, vocab, max_len) for s in samples]
-    tokens = np.stack([q.tokens for q in seqs])
-    lengths = np.array([q.true_length for q in seqs])
-    grids = np.stack([s.grid.occupancy for s in samples]).astype(np.float32)
-    ids = [s.id for s in samples]
-    return tokens, lengths, grids, ids
+    return np.stack([q.tokens for q in seqs]), np.array([q.true_length for q in seqs])
 
 
 def fit(train_samples: list[Sample], val_samples: list[Sample],
         config: TrainerConfig,
-        vocab: Vocabulary | None = None,
-        text_config: enc.TextEncoderConfig | None = None,
         shape_config: enc.ShapeEncoderConfig | None = None) -> TrainResult:
     """Seeded mini-batch training with adaptive-moment updates.
 
-    The vocabulary comes from the train texts unless one is supplied; batches
-    reshuffle every epoch; the log records per-epoch train loss and
-    validation recall@1.
+    The vocabulary comes from the train texts; batches reshuffle every
+    epoch; the log records per-epoch train loss and validation recall@1.
     """
     if not train_samples:
         raise TrainingError("training set is empty")
     if len(train_samples) < 2:
         raise TrainingError("training needs at least 2 samples (mining needs a negative)")
-    vocab = vocab or build_vocabulary(s.text for s in train_samples)
-    text_config = text_config or enc.TextEncoderConfig(vocab.size)
+    vocab = build_vocabulary(s.text for s in train_samples)
     text_params, shape_params = enc.init_params(
-        vocab.size, config.seed, text_config, shape_config)
+        vocab.size, config.seed, shape_config=shape_config)
 
-    tokens, lengths, grids, ids = _prepare(train_samples, vocab, text_config.max_len)
+    tokens, lengths = _token_batch(train_samples, vocab, text_params.config.max_len)
+    grids = np.stack([s.grid.occupancy for s in train_samples])
+    ids = [s.id for s in train_samples]
     rng = np.random.default_rng(config.seed)
     # Adam's first and second moments, laid out like each encoder's buffer
     moments = [(np.zeros_like(p.flat), np.zeros_like(p.flat))
@@ -292,8 +292,7 @@ def fit(train_samples: list[Sample], val_samples: list[Sample],
             for params, grad, (m, v) in zip((text_params, shape_params), (tg, sg), moments):
                 _update(params.flat, grad, m, v, step, config)
             losses.append(loss)
-        val_recall = (evaluate_recall(text_params, shape_params, val_samples, 1,
-                                      vocab, text_config.max_len)
+        val_recall = (evaluate_recall(text_params, shape_params, val_samples, 1, vocab)
                       if val_samples else float("nan"))
         result.log.append(EpochLog(epoch, float(np.mean(losses)), val_recall,
                                    time.perf_counter() - started))
@@ -303,25 +302,28 @@ def fit(train_samples: list[Sample], val_samples: list[Sample],
 # ---------------------------------------------------------------------------
 # retrieval-accuracy evaluation
 
-def embed_texts(text_params, samples, vocab, max_len=None, chunk=64):
-    max_len = max_len or text_params.config.max_len
-    out = []
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
-        seqs = [tokenize(s.text, vocab, max_len) for s in part]
-        out.append(enc.text_forward(text_params,
-                                    np.stack([q.tokens for q in seqs]),
-                                    np.array([q.true_length for q in seqs])))
-    return np.concatenate(out, axis=0)
+# Samples per encoder call when embedding a split. From 8 to 128 the time
+# per sample stays at 6-8 ms (one BLAS thread, 2-vCPU VM), but the shape
+# forward's peak memory grows ~6 MB per grid (376 MB at 64); other sizes
+# also round the GEMMs differently in the last bits.
+EMBED_CHUNK = 64
 
 
-def embed_shapes(shape_params, samples, chunk=64):
-    out = []
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
-        grids = np.stack([s.grid.occupancy for s in part]).astype(np.float32)
-        out.append(enc.shape_forward(shape_params, grids))
-    return np.concatenate(out, axis=0)
+def _chunks(samples):
+    if not samples:
+        raise TrainingError("evaluation set is empty")
+    return (samples[lo:lo + EMBED_CHUNK] for lo in range(0, len(samples), EMBED_CHUNK))
+
+
+def embed_texts(text_params, samples, vocab):
+    max_len = text_params.config.max_len
+    return np.concatenate([enc.text_forward(text_params, *_token_batch(part, vocab, max_len))
+                           for part in _chunks(samples)])
+
+
+def embed_shapes(shape_params, samples):
+    return np.concatenate([enc.shape_forward(shape_params, [s.grid for s in part])
+                           for part in _chunks(samples)])
 
 
 def recall_from_embeddings(text_embs, shape_embs, ids, k: int) -> float:
@@ -342,10 +344,8 @@ def recall_from_embeddings(text_embs, shape_embs, ids, k: int) -> float:
 
 
 def evaluate_recall(text_params, shape_params, samples: list[Sample], k: int,
-                    vocab: Vocabulary, max_len=None) -> float:
+                    vocab: Vocabulary) -> float:
     """recall@k of each eval text against the eval set's own shape gallery."""
-    if not samples:
-        raise TrainingError("evaluation set is empty")
-    text_embs = embed_texts(text_params, samples, vocab, max_len)
+    text_embs = embed_texts(text_params, samples, vocab)
     shape_embs = embed_shapes(shape_params, samples)
     return recall_from_embeddings(text_embs, shape_embs, [s.id for s in samples], k)

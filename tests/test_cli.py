@@ -146,8 +146,18 @@ def test_query_json_and_previews(workspace, capsys, tmp_path):
     assert len(list(previews.glob("*.obj"))) == 3
 
 
-def test_eval_prints_recall(workspace, capsys):
+def test_eval_prints_recall(workspace, capsys, monkeypatch):
+    from rodfind import encoders as enc
+
     root, data, ckpt, _ = workspace
+    embedded = []
+    shape_forward = enc.shape_forward
+
+    def counted_shape_forward(params, grids):
+        embedded.append(len(grids))
+        return shape_forward(params, grids)
+
+    monkeypatch.setattr(enc, "shape_forward", counted_shape_forward)
     code = dispatch(["eval", "--checkpoint", str(ckpt),
                      "--manifest", str(data / "manifest.csv"),
                      "--split", "val", "--k", "1,8", "--json"])
@@ -155,10 +165,56 @@ def test_eval_prints_recall(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["recall"]) == {"1", "8"}
     assert 0.0 <= payload["recall"]["1"] <= payload["recall"]["8"] <= 1.0
+    # every k is ranked from one pass of the shape encoder over the split
+    assert sum(embedded) == payload["count"] == 3
 
 
-def test_tune_runs_a_tiny_design(workspace, capsys, tmp_path):
+@pytest.mark.parametrize("k", ["x", "0", "1,0", "1,,8", ""])
+def test_eval_bad_k_is_usage_error_before_loading(k, tmp_path, capsys):
+    code = dispatch(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--manifest", str(tmp_path / "missing.csv"), "--k", k])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--k" in err and "missing" not in err
+
+
+def test_eval_k_from_config_file(workspace, capsys, tmp_path):
+    root, data, ckpt, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"checkpoint": str(ckpt), "k": 8,
+                                  "manifest": str(data / "manifest.csv")}))
+    assert dispatch(["--config", str(config), "eval"]) == 0
+    assert capsys.readouterr().out.startswith("recall@8\t")
+    config.write_text(json.dumps({"checkpoint": str(ckpt), "k": 0,
+                                  "manifest": str(data / "manifest.csv")}))
+    assert dispatch(["--config", str(config), "eval"]) == 1
+
+
+def test_train_zero_epochs_is_refused_before_loading(tmp_path, capsys):
+    code = dispatch(["train", "--manifest", str(tmp_path / "missing.csv"),
+                     "--out", str(tmp_path / "model.ckpt"), "--epochs", "0"])
+    assert code == 2
+    assert "epochs must be at least 1" in capsys.readouterr().err
+
+
+def test_tune_runs_a_tiny_design(workspace, capsys, tmp_path, monkeypatch):
+    from rodfind import training as tr
+
     root, data, _, _ = workspace
+    counts = {"epochs": 0, "evaluations": 0}
+    fit, evaluate_recall = tr.fit, tr.evaluate_recall
+
+    def counted_fit(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        counts["epochs"] += len(result.log)
+        return result
+
+    def counted_evaluate_recall(*args, **kwargs):
+        counts["evaluations"] += 1
+        return evaluate_recall(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "fit", counted_fit)
+    monkeypatch.setattr(tr, "evaluate_recall", counted_evaluate_recall)
     design = tmp_path / "design.json"
     design.write_text(json.dumps({
         "kind": "full_factorial",
@@ -173,6 +229,8 @@ def test_tune_runs_a_tiny_design(workspace, capsys, tmp_path):
     text = report.read_text()
     assert "# range analysis" in text and "# anova" in text
     assert "best combination" in capsys.readouterr().out
+    # each row's score is the val recall@1 fit logged after its last epoch
+    assert counts["evaluations"] == counts["epochs"] == 1 + 2 + 1 + 2
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -212,6 +212,11 @@ class TestNrrd:
                 ds.read_nrrd(data.replace(old, new))
             assert name.decode() in str(err.value)
 
+    def test_empty_cube_is_error(self):
+        data = b"NRRD0004\ntype: uint8\ndimension: 3\nsizes: 0 0 0\nencoding: raw\n\n"
+        with pytest.raises(NrrdError, match="'sizes'"):
+            ds.read_nrrd(data)
+
     def test_reader_ignores_comments_and_keyvalue_meta(self):
         grid = VoxelGrid(4, np.zeros((4, 4, 4), np.uint8))
         data = ds.write_nrrd(grid)
@@ -266,6 +271,21 @@ class TestManifest:
         back = ds.read_manifest(path)
         assert back.meta == {"seed": 7, "resolution": 16}
         assert [r.__dict__ for r in back.rows] == [r.__dict__ for r in self.rows()]
+
+    def test_non_utf8_manifest_is_manifest_error(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"id,text,nrrd_path,split\nAAA001,caf\xe9,grids/a.nrrd,train\n")
+        with pytest.raises(ManifestError, match="UTF-8"):
+            ds.read_manifest(path, check_paths=False)
+
+    @pytest.mark.parametrize("sidecar", [b'{"seed": 7', b"\xff{}", b"[1, 2]"],
+                             ids=["not-json", "not-utf8", "not-an-object"])
+    def test_bad_sidecar_is_manifest_error(self, tmp_path, sidecar):
+        path = tmp_path / "manifest.csv"
+        ds.write_manifest(self.rows(), path)
+        (tmp_path / "manifest.csv.meta.json").write_bytes(sidecar)
+        with pytest.raises(ManifestError, match="meta.json"):
+            ds.read_manifest(path, check_paths=False)
 
 
 class TestSplit:

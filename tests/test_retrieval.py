@@ -76,6 +76,17 @@ class TestIndexIO:
         with pytest.raises(RetrievalError, match="embedding block"):
             rt.load_index(path)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_nonpositive_dim_rejected(self, gallery, tmp_path, dim):
+        # with no embedding bytes the block-size check alone cannot catch it
+        _, _, index = gallery
+        path = tmp_path / "gallery.idx"
+        rt.save_index(index, path)
+        head = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        path.write_bytes(json.dumps({**head, "dim": dim}).encode() + b"\n")
+        with pytest.raises(RetrievalError, match="must be positive"):
+            rt.load_index(path)
+
     @pytest.mark.parametrize("edit", [
         lambda h: b"\xff" + json.dumps(h).encode(),
         lambda h: json.dumps(h).encode()[:-1],

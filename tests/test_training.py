@@ -330,6 +330,8 @@ class TestGradients:
 class TestOptimizer:
     STEPS = 5
     SIZE = 133  # a conv-like weight, a bias and a dense weight, as one buffer
+    # Adam's published constants (Kingma & Ba, arXiv:1412.6980)
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def test_adam_matches_a_float64_reference(self):
         cfg = tr.TrainerConfig(learning_rate=1e-2, optimizer="adam")
@@ -343,13 +345,14 @@ class TestOptimizer:
             grad = rng.standard_normal(self.SIZE).astype(np.float32)
             tr._update(flat, grad, m, v, t, cfg)
             g = grad.astype(np.float64)
-            m64 = cfg.beta1 * m64 + (1 - cfg.beta1) * g
-            v64 = cfg.beta2 * v64 + (1 - cfg.beta2) * g * g
-            m_hat = m64 / (1 - cfg.beta1 ** t)
-            v_hat = v64 / (1 - cfg.beta2 ** t)
+            b1, b2 = self.BETA1, self.BETA2
+            m64 = b1 * m64 + (1 - b1) * g
+            v64 = b2 * v64 + (1 - b2) * g * g
+            m_hat = m64 / (1 - b1 ** t)
+            v_hat = v64 / (1 - b2 ** t)
             # Kingma & Ba's efficient form folds both corrections into the
             # step size, which puts eps on sqrt(v) instead of sqrt(v_hat)
-            eps_hat = cfg.eps / np.sqrt(1 - cfg.beta2 ** t)
+            eps_hat = self.EPS / np.sqrt(1 - b2 ** t)
             ref -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps_hat)
             assert flat.dtype == np.float32
             # float32 rounding of the parameter and of the step, per step
@@ -366,19 +369,19 @@ class TestOptimizer:
         assert flat.dtype == np.float32
         assert np.array_equal(flat, before - cfg.learning_rate * grad)
 
-    @staticmethod
-    def unblocked_update(flat, grad, m, v, step, config):
+    @classmethod
+    def unblocked_update(cls, flat, grad, m, v, step, config):
         """The update as one pass over whole buffers."""
         if config.optimizer == "sgd":
             flat -= config.learning_rate * grad
             return
-        b1, b2 = config.beta1, config.beta2
+        b1, b2 = cls.BETA1, cls.BETA2
         lr = float(config.learning_rate) * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
         m *= b1
         m += np.multiply(grad, 1.0 - b1)
         v *= b2
         v += np.multiply(grad, 1.0 - b2) * grad
-        flat -= lr * (m / (np.sqrt(v) + config.eps))
+        flat -= lr * (m / (np.sqrt(v) + cls.EPS))
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_blocked_update_is_bitwise_one_unblocked_pass(self, optimizer):
@@ -400,9 +403,12 @@ class TestFit:
     def corpus(self):
         return ds.generate_variants(bases=1, per_base=6, seed=5)
 
-    def test_zero_learning_rate_leaves_params_bitwise_unchanged(self):
+    def test_without_updates_params_stay_at_initialization(self, monkeypatch):
+        # TrainerConfig refuses a zero learning rate, so the update step is
+        # stubbed out: nothing else in fit may write to the parameters
+        monkeypatch.setattr(tr, "_update", lambda *args: None)
         samples = self.corpus()
-        cfg = tr.TrainerConfig(batch_size=3, learning_rate=0.0, epochs=2, seed=1)
+        cfg = tr.TrainerConfig(batch_size=3, learning_rate=1e-3, epochs=2, seed=1)
         result = tr.fit(samples, [], cfg)
         fresh_t, fresh_s = enc.init_params(result.vocab.size, cfg.seed,
                                            enc.TextEncoderConfig(result.vocab.size))
@@ -423,6 +429,12 @@ class TestFit:
         a = tr.fit(samples, [], cfg)
         b = tr.fit(samples, [], cfg)
         assert np.array_equal(a.text_params.flat, b.text_params.flat)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -3), ("learning_rate", 0.0), ("learning_rate", -1.0)])
+    def test_config_refuses_nonpositive_epochs_and_learning_rate(self, field, value):
+        with pytest.raises(TrainingError, match=field):
+            tr.TrainerConfig(**{field: value})
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
