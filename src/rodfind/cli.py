@@ -213,18 +213,20 @@ def _cmd_voxelize(args) -> int:
     return 0
 
 
-def _load_split(manifest_path, split):
+def _load_splits(manifest_path, *splits):
+    """The manifest, read once, then one sample list per split name
+    ("train", "val" or "all")."""
     from . import dataset as ds
 
     manifest = ds.read_manifest(manifest_path)
     base = Path(manifest_path).parent
-    samples = []
-    for row in manifest.rows:
-        if split != "all" and row.split != split:
-            continue
-        grid = ds.read_nrrd((base / row.nrrd_path).read_bytes())
-        samples.append(ds.Sample(row.id, None, row.text, grid))
-    return manifest, samples
+
+    def samples(split):
+        return [ds.Sample(row.id, None, row.text,
+                          ds.read_nrrd((base / row.nrrd_path).read_bytes()))
+                for row in manifest.rows if split in ("all", row.split)]
+
+    return (manifest, *map(samples, splits))
 
 
 def _cmd_train(args) -> int:
@@ -235,8 +237,7 @@ def _cmd_train(args) -> int:
                               epochs=args.epochs, margin=args.margin, mu=args.mu,
                               seed=args.seed, optimizer=args.optimizer)
     shape_config = enc.ShapeEncoderConfig(num_conv_layers=args.layers)
-    _, train_samples = _load_split(args.manifest, "train")
-    _, val_samples = _load_split(args.manifest, "val")
+    _, train_samples, val_samples = _load_splits(args.manifest, "train", "val")
     result = tr.fit(train_samples, val_samples, config, shape_config=shape_config)
     enc.save_checkpoint(args.out, result.text_params, result.shape_params,
                         result.vocab.word_to_id,
@@ -275,8 +276,7 @@ def _cmd_tune(args) -> int:
                for f in design_data["factors"]]
     design = doe.make_design(design_data["kind"], factors)
 
-    _, train_samples = _load_split(args.manifest, "train")
-    _, val_samples = _load_split(args.manifest, "val")
+    _, train_samples, val_samples = _load_splits(args.manifest, "train", "val")
     if not val_samples:
         raise ValueError(f"{args.manifest}: tuning needs a val split")
 
@@ -309,7 +309,7 @@ def _cmd_index(args) -> int:
 
     checkpoint = enc.load_checkpoint(args.checkpoint)
     manifest_path = Path(args.manifest)
-    manifest, samples = _load_split(manifest_path, args.split)
+    manifest, samples = _load_splits(manifest_path, args.split)
     paths = {row.id: str((manifest_path.parent / row.nrrd_path).resolve())
              for row in manifest.rows}
     index = rt.build_index(samples, checkpoint, nrrd_paths=paths)
@@ -322,12 +322,22 @@ def _cmd_query(args) -> int:
     from . import dataset as ds
     from . import encoders as enc
     from . import retrieval as rt
+    from .errors import RetrievalError
 
     text = args.text if args.text is not None else Path(args.text_file).read_text(
         encoding="utf-8").strip()
     checkpoint = enc.load_checkpoint(args.checkpoint)
     index = rt.load_index(args.index)
     result = rt.query(text, index, checkpoint, k=args.k, lenient=not args.strict)
+    if args.previews:
+        # check every match before printing any: an index built without
+        # `nrrd_paths` stores "" for each entry
+        by_id = dict(zip(index.ids, index.nrrd_paths))
+        sources = [(sample_id, by_id[sample_id]) for sample_id, _ in result.matches]
+        missing = [sample_id for sample_id, path in sources if not path]
+        if missing:
+            raise RetrievalError(f"{args.index}: no NRRD path stored for {missing}; "
+                                 "cannot write previews")
     if args.json:
         print(json.dumps({"query": result.query_text, "k": result.k,
                           "matches": [{"id": i, "distance": d}
@@ -339,9 +349,8 @@ def _cmd_query(args) -> int:
     if args.previews:
         preview_dir = Path(args.previews)
         preview_dir.mkdir(parents=True, exist_ok=True)
-        by_id = dict(zip(index.ids, index.nrrd_paths))
-        for sample_id, _ in result.matches:
-            grid = ds.read_nrrd(Path(by_id[sample_id]).read_bytes())
+        for sample_id, path in sources:
+            grid = ds.read_nrrd(Path(path).read_bytes())
             (preview_dir / f"{sample_id}.obj").write_bytes(
                 rt.export_preview(grid, "obj"))
         print(f"previews under {preview_dir}")
@@ -354,7 +363,7 @@ def _cmd_eval(args) -> int:
     from . import training as tr
 
     checkpoint = enc.load_checkpoint(args.checkpoint)
-    _, samples = _load_split(args.manifest, args.split)
+    _, samples = _load_splits(args.manifest, args.split)
     vocab = ds.Vocabulary(dict(checkpoint.vocab_words))
     text_embs = tr.embed_texts(checkpoint.text, samples, vocab)
     shape_embs = tr.embed_shapes(checkpoint.shape, samples)

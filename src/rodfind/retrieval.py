@@ -1,10 +1,20 @@
 """Historical-shape gallery: embedding index, exact top-k text queries, and
-human-viewable voxel previews (OBJ cubes, PGM slice stacks)."""
+human-viewable voxel previews (OBJ cubes, PGM slice stacks).
+
+A query is an exact flat search. Its distances ||q||^2 + ||y||^2 - 2<q, y>
+come from `training.pairwise_distances`, the formula training uses. The
+gallery's float64 rows and squared norms do not depend on the query, so a
+`ShapeIndex` computes them on its first query and keeps them. Each later
+query is then one (1 x D) @ (D x G) product. A queried index holds
+8 * G * (D + 1) bytes more than its float32 rows, 10.3 MB at 10k x 128.
+The kept arrays are never written to the index file.
+"""
 
 from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +26,7 @@ from .errors import RetrievalError
 from .geometry import VoxelGrid
 from .geometry.stl import _CUBE_FACES
 from .taxonomy import default_schema, parse_text, render_text
-from .training import embed_shapes, pairwise_distances
+from .training import embed_shapes, pairwise_distances, squared_norms
 
 DEFAULT_K = 8
 INDEX_MAGIC = "rodfind-index"
@@ -28,7 +38,13 @@ _HEADER_TYPES = {"ids": list, "nrrd_paths": list, "texts": list,
 @dataclass
 class ShapeIndex:
     """Immutable gallery: one unit-norm embedding per sample plus enough
-    provenance to refuse cross-run queries."""
+    provenance to refuse cross-run queries.
+
+    `embeddings` is a read-only view, so a write through it raises instead
+    of leaving the float64 rows kept for queries stale. A C-contiguous
+    float32 array passed in is shared with the index, not copied: the
+    caller must not write it, nor reassign any field, after construction.
+    """
 
     ids: list[str]
     embeddings: np.ndarray  # (G, D) float32
@@ -36,9 +52,12 @@ class ShapeIndex:
     texts: list[str]
     fingerprint: str
     resolution: int
+    # (float64 rows, their squared norms), set by the first query
+    _gallery: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float32)
+        self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float32).view()
+        self.embeddings.flags.writeable = False
         for name in ("embeddings", "nrrd_paths", "texts"):
             if len(getattr(self, name)) != len(self.ids):
                 raise RetrievalError(f"index ids and {name} disagree in length")
@@ -58,6 +77,16 @@ class ShapeIndex:
                 and self.fingerprint == other.fingerprint
                 and self.resolution == other.resolution)
 
+    def gallery64(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 rows and their squared norms, both read-only,
+        computed on the first call and kept."""
+        if self._gallery is None:
+            rows = self.embeddings.astype(np.float64)
+            norms = squared_norms(rows)
+            rows.flags.writeable = norms.flags.writeable = False
+            self._gallery = rows, norms
+        return self._gallery
+
 
 @dataclass
 class QueryResult:
@@ -74,7 +103,7 @@ def build_index(samples, checkpoint: enc.Checkpoint,
         raise RetrievalError("cannot build an index from an empty sample list")
     ids = [s.id for s in samples]
     if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise RetrievalError(f"duplicate sample ids: {dupes}")
     resolution = checkpoint.shape.config.resolution
     for s in samples:
@@ -163,7 +192,7 @@ def query(text: str, index: ShapeIndex, checkpoint: enc.Checkpoint,
     seq = tokenize(canonical, vocab, checkpoint.text.config.max_len)
     emb = enc.text_forward(checkpoint.text, seq.tokens[None, :],
                            np.array([seq.true_length]))
-    dists = pairwise_distances(emb, index.embeddings)[0]
+    dists = pairwise_distances(emb, *index.gallery64())[0]
 
     if k > len(index):
         warnings.warn(f"k={k} exceeds the gallery size {len(index)}; clamping")

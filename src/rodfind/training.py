@@ -59,13 +59,25 @@ class TrainerConfig:
 # ---------------------------------------------------------------------------
 # distances, hinge, triplet classification
 
-def pairwise_distances(text_embs: np.ndarray, shape_embs: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix, entry (i, j) = ||t_i - s_j||."""
+def squared_norms(embs: np.ndarray) -> np.ndarray:
+    """Per-row squared Euclidean norms of a float64 (N, D) array."""
+    return (embs * embs).sum(1)
+
+
+def pairwise_distances(text_embs: np.ndarray, shape_embs: np.ndarray,
+                       shape_sq: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distance matrix, entry (i, j) = ||t_i - s_j||.
+
+    `shape_sq`, when given, must be `squared_norms` of `shape_embs` as
+    float64. A caller that queries one gallery many times keeps the float64
+    rows and their norms, so each call is one matrix product against them."""
     t = np.asarray(text_embs, dtype=np.float64)
     s = np.asarray(shape_embs, dtype=np.float64)
     if t.ndim != 2 or s.ndim != 2 or t.shape[1] != s.shape[1]:
         raise TrainingError(f"embedding shapes disagree: {t.shape} vs {s.shape}")
-    sq = (t * t).sum(1)[:, None] + (s * s).sum(1)[None, :] - 2.0 * (t @ s.T)
+    if shape_sq is None:
+        shape_sq = squared_norms(s)
+    sq = squared_norms(t)[:, None] + shape_sq[None, :] - 2.0 * (t @ s.T)
     return np.sqrt(np.clip(sq, 0.0, None))
 
 

@@ -146,6 +146,57 @@ def test_query_json_and_previews(workspace, capsys, tmp_path):
     assert len(list(previews.glob("*.obj"))) == 3
 
 
+def test_query_previews_refuse_an_entry_without_nrrd_path(workspace, capsys, tmp_path):
+    root, data, ckpt, index_path = workspace
+    from rodfind import dataset as ds
+    from rodfind import encoders as enc
+    from rodfind import retrieval as rt
+
+    # what `build_index` stores when it is given no `nrrd_paths`
+    index = rt.load_index(index_path)
+    bare = rt.ShapeIndex(index.ids, index.embeddings, [""] * len(index), index.texts,
+                         index.fingerprint, index.resolution)
+    bare_path = tmp_path / "bare.idx"
+    rt.save_index(bare, bare_path)
+    text = ds.read_manifest(data / "manifest.csv").rows[0].text
+    top = rt.query(text, bare, enc.load_checkpoint(ckpt), k=1).matches[0][0]
+    code = dispatch(["query", "--index", str(bare_path), "--checkpoint", str(ckpt),
+                     "--text", text, "--k", "1", "--previews", str(tmp_path / "p")])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert top in err and "no NRRD path" in err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_train_and_tune_read_the_manifest_once(workspace, tmp_path, monkeypatch,
+                                               command):
+    from rodfind import dataset as ds
+
+    _, data, _, _ = workspace
+    calls = []
+    read_manifest = ds.read_manifest
+
+    def counted_read_manifest(*args, **kwargs):
+        calls.append(args)
+        return read_manifest(*args, **kwargs)
+
+    monkeypatch.setattr(ds, "read_manifest", counted_read_manifest)
+    manifest = str(data / "manifest.csv")
+    if command == "train":
+        argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "m.ckpt"),
+                "--epochs", "1", "--batch-size", "3"]
+    else:
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"kind": "full_factorial", "factors": [
+            {"name": "epochs", "levels": [1, 2]}]}))
+        argv = ["tune", "--manifest", manifest, "--design", str(design),
+                "--out", str(tmp_path / "report.csv")]
+    assert dispatch(argv) == 0
+    assert len(calls) == 1
+
+
 def test_eval_prints_recall(workspace, capsys, monkeypatch):
     from rodfind import encoders as enc
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodfind import dataset as ds
 from rodfind import encoders as enc
@@ -9,6 +11,7 @@ from rodfind import retrieval as rt
 from rodfind import training as tr
 from rodfind.errors import ParseError, ParseWarning, RetrievalError
 from rodfind.geometry import VoxelGrid
+from rodfind.taxonomy import parse_text, render_text
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +23,26 @@ def gallery():
     checkpoint = enc.parse_checkpoint(data)
     index = rt.build_index(samples, checkpoint)
     return samples, checkpoint, index
+
+
+def _embed_canonical(text, checkpoint):
+    """(1, D) embedding of the text's canonical rendering, computed outside
+    `retrieval.query`."""
+    canonical = render_text(parse_text(text))
+    vocab = ds.Vocabulary(dict(checkpoint.vocab_words))
+    seq = ds.tokenize(canonical, vocab, checkpoint.text.config.max_len)
+    return enc.text_forward(checkpoint.text, seq.tokens[None, :],
+                            np.array([seq.true_length]))
+
+
+def assert_query_matches_uncached_scan(text, index, checkpoint, k):
+    """`query`'s (id, distance) list equals, bitwise, the (distance, id)
+    order of `pairwise_distances` from the float32 gallery, the form that
+    keeps no float64 rows or norms."""
+    result = rt.query(text, index, checkpoint, k=k)
+    dists = tr.pairwise_distances(_embed_canonical(text, checkpoint), index.embeddings)[0]
+    order = sorted(range(len(index)), key=lambda j: (dists[j], index.ids[j]))
+    assert result.matches == [(index.ids[j], float(dists[j])) for j in order[:k]]
 
 
 class TestBuildIndex:
@@ -36,8 +59,11 @@ class TestBuildIndex:
 
     def test_duplicate_ids_rejected(self, gallery):
         samples, checkpoint, _ = gallery
-        with pytest.raises(RetrievalError, match="duplicate"):
-            rt.build_index([samples[0], samples[0]], checkpoint)
+        a, b, c = samples[:3]
+        want = f"duplicate sample ids: {sorted([a.id, b.id])}"
+        with pytest.raises(RetrievalError) as raised:
+            rt.build_index([b, a, c, b, a, b], checkpoint)
+        assert str(raised.value) == want
 
     def test_resolution_mismatch_rejected(self, gallery):
         samples, checkpoint, _ = gallery
@@ -61,6 +87,28 @@ class TestIndexIO:
         path = tmp_path / "gallery.idx"
         rt.save_index(index, path)
         assert rt.load_index(path) == index
+
+    def test_queried_index_round_trips_to_the_same_bytes(self, gallery, tmp_path):
+        samples, checkpoint, index = gallery
+        fresh = rt.ShapeIndex(index.ids, index.embeddings, index.nrrd_paths,
+                              index.texts, index.fingerprint, index.resolution)
+        before, after = tmp_path / "before.idx", tmp_path / "after.idx"
+        rt.save_index(fresh, before)
+        rt.query(samples[0].text, fresh, checkpoint, k=3)
+        rt.save_index(fresh, after)
+        assert after.read_bytes() == before.read_bytes()
+        loaded = rt.load_index(after)
+        assert loaded == fresh and fresh == loaded
+
+    def test_embeddings_are_read_only_and_the_callers_array_is_not(self, gallery):
+        _, _, index = gallery
+        mine = index.embeddings.copy()
+        shared = rt.ShapeIndex(index.ids, mine, index.nrrd_paths, index.texts,
+                               index.fingerprint, index.resolution)
+        with pytest.raises(ValueError, match="read-only"):
+            shared.embeddings[0, 0] = 0.0
+        mine[0, 0] = 0.0
+        assert shared.embeddings[0, 0] == 0.0  # shared, not copied
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "junk.idx"
@@ -128,13 +176,7 @@ class TestQuery:
         result = rt.query(samples[3].text, index, checkpoint, k=len(index))
         # independent re-implementation: embed the canonical text, sort by
         # (distance, id) over every gallery entry
-        from rodfind.taxonomy import parse_text, render_text
-
-        canonical = render_text(parse_text(samples[3].text))
-        vocab = ds.Vocabulary(dict(checkpoint.vocab_words))
-        seq = ds.tokenize(canonical, vocab, 256)
-        emb = enc.text_forward(checkpoint.text, seq.tokens[None, :],
-                               np.array([seq.true_length]))[0]
+        emb = _embed_canonical(samples[3].text, checkpoint)[0]
         dists = np.linalg.norm(index.embeddings - emb[None, :], axis=1)
         expected = sorted(range(len(index)), key=lambda j: (dists[j], index.ids[j]))
         assert [m[0] for m in result.matches] == [index.ids[j] for j in expected]
@@ -155,6 +197,40 @@ class TestQuery:
         assert distances == sorted(distances)
         for (a, da), (b, db) in zip(full.matches, full.matches[1:]):
             assert da < db or a < b
+        assert_query_matches_uncached_scan(samples[3].text, tied, checkpoint, k)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_gallery_with_duplicated_rows_matches_uncached_scan(self, gallery, data):
+        samples, checkpoint, index = gallery
+        n = len(index)
+        # rows drawn with repeats, so equal distances can straddle the k-th place
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n))
+        ids = data.draw(st.permutations([f"x{i:03d}" for i in range(len(rows))]))
+        k = data.draw(st.integers(1, len(rows)))
+        text = samples[data.draw(st.integers(0, n - 1))].text
+        drawn = rt.ShapeIndex(ids, index.embeddings[rows], [""] * len(rows),
+                              [index.texts[r] for r in rows], index.fingerprint,
+                              index.resolution)
+        assert_query_matches_uncached_scan(text, drawn, checkpoint, k)
+
+    def test_second_query_reuses_the_float64_gallery(self, gallery, monkeypatch):
+        samples, checkpoint, index = gallery
+        fresh = rt.ShapeIndex(index.ids, index.embeddings, index.nrrd_paths,
+                              index.texts, index.fingerprint, index.resolution)
+        seen = []
+        distances = rt.pairwise_distances
+
+        def recorded(*args):
+            seen.append(args[1:])
+            return distances(*args)
+
+        monkeypatch.setattr(rt, "pairwise_distances", recorded)
+        rt.query(samples[0].text, fresh, checkpoint, k=3)
+        rt.query(samples[1].text, fresh, checkpoint, k=3)
+        (rows, norms), (rows_again, norms_again) = seen
+        assert rows.dtype == norms.dtype == np.float64
+        assert rows_again is rows and norms_again is norms
 
     def test_fingerprint_mismatch_rejected(self, gallery):
         samples, checkpoint, index = gallery
