@@ -23,7 +23,7 @@ for key, mm in sizes.items():
     print(f"  {key[0]}.{key[1]}: {mm:.2f}")
 
 solid = geo.build_solid(spec, sizes)
-grid = geo.voxelize_solid(solid, 16, source_id="demo")
+grid = geo.voxelize_solid(solid, 16)
 print(f"\noccupied voxels: {grid.occupied_count} / {16 ** 3}")
 
 print("\nmid-height slice (z = 7):")

@@ -23,12 +23,23 @@ def _data_root(value: str | None) -> Path:
     return Path(value or os.environ.get("RODFIND_DATA_DIR") or ".")
 
 
+def _k_value(text: str) -> int:
+    """`query --k`: an integer of at least 1."""
+    k = int(text)  # argparse reports a ValueError
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"k must be at least 1, got {text!r}")
+    return k
+
+
 def _k_values(text: str) -> list[int]:
     """`eval --k`: comma-separated integers, each at least 1."""
-    ks = [int(k) for k in text.split(",")]  # argparse reports a ValueError
-    if min(ks) < 1:
-        raise argparse.ArgumentTypeError(f"every k must be at least 1, got {text!r}")
-    return ks
+    return [_k_value(k) for k in text.split(",")]
+
+
+# `train`'s option defaults; `tune` trains every design row with these for
+# the factors its design leaves out
+_TRAIN_DEFAULTS = {"epochs": 100, "batch_size": 4, "learning_rate": 1e-5,
+                   "margin": 0.5, "mu": 1.0, "layers": 7}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,14 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training log CSV path")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--margin", type=float, default=0.5)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--layers", type=int, default=7,
+    p.add_argument("--epochs", type=int, default=_TRAIN_DEFAULTS["epochs"])
+    p.add_argument("--batch-size", type=int, default=_TRAIN_DEFAULTS["batch_size"])
+    p.add_argument("--lr", type=float, default=_TRAIN_DEFAULTS["learning_rate"])
+    p.add_argument("--margin", type=float, default=_TRAIN_DEFAULTS["margin"])
+    p.add_argument("--mu", type=float, default=_TRAIN_DEFAULTS["mu"])
+    p.add_argument("--layers", type=int, default=_TRAIN_DEFAULTS["layers"],
                    help="shape-encoder convolution layers (3-7)")
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("tune", help="orthogonal-experiment hyperparameter search")
@@ -87,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     text = p.add_mutually_exclusive_group(required=True)
     text.add_argument("--text")
     text.add_argument("--text-file")
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--k", type=_k_value, default=8)
     p.add_argument("--strict", action="store_true",
                    help="reject texts with unrecognized sentences")
     p.add_argument("--json", action="store_true")
@@ -205,8 +215,7 @@ def _cmd_voxelize(args) -> int:
 
     data = Path(args.stl).read_bytes()
     mesh = geo.parse_stl(data)
-    grid = geo.voxelize_mesh(mesh, args.resolution, mode=args.mode,
-                             source_id=Path(args.stl).name)
+    grid = geo.voxelize_mesh(mesh, args.resolution, mode=args.mode)
     Path(args.out).write_bytes(ds.write_nrrd(grid))
     print(f"voxelized {args.stl} ({len(mesh)} triangles) -> {args.out} "
           f"({grid.occupied_count}/{grid.resolution ** 3} occupied)")
@@ -235,7 +244,7 @@ def _cmd_train(args) -> int:
 
     config = tr.TrainerConfig(batch_size=args.batch_size, learning_rate=args.lr,
                               epochs=args.epochs, margin=args.margin, mu=args.mu,
-                              seed=args.seed, optimizer=args.optimizer)
+                              seed=args.seed)
     shape_config = enc.ShapeEncoderConfig(num_conv_layers=args.layers)
     _, train_samples, val_samples = _load_splits(args.manifest, "train", "val")
     result = tr.fit(train_samples, val_samples, config, shape_config=shape_config)
@@ -281,14 +290,14 @@ def _cmd_tune(args) -> int:
         raise ValueError(f"{args.manifest}: tuning needs a val split")
 
     def objective(assignment):
-        overrides = {}
+        settings = dict(_TRAIN_DEFAULTS)
         for name, value in assignment.items():
             key = _FACTOR_ALIASES.get(name.lower())
             if key is None:
                 raise ValueError(f"design factor {name!r} is not tunable")
-            overrides[key] = value
-        layers = int(overrides.pop("layers", 7))
-        config = tr.TrainerConfig(seed=args.seed, **overrides)
+            settings[key] = value
+        layers = int(settings.pop("layers"))
+        config = tr.TrainerConfig(seed=args.seed, **settings)
         result = tr.fit(train_samples, val_samples, config,
                         shape_config=enc.ShapeEncoderConfig(num_conv_layers=layers))
         # fit's last epoch already measured val recall@1 with the final params

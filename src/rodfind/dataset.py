@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DatasetError, ManifestError, NrrdError
 from .geometry import (
-    GridMeta,
     VoxelGrid,
     build_solid,
     concrete_sizes,
@@ -198,9 +197,6 @@ class ManifestRow:
 class DatasetManifest:
     rows: list[ManifestRow]
     meta: dict = field(default_factory=dict)
-
-    def ids(self) -> list[str]:
-        return [r.id for r in self.rows]
 
 
 def _check_rows(rows):
@@ -476,7 +472,7 @@ def generate_variants(bases=15, per_base=None, total=None, seed: int = 0,
             grid = None
             if with_grids:
                 solid = build_solid(spec, concrete_sizes(spec, schema), schema)
-                grid = voxelize_solid(solid, resolution, source_id=sample_id)
+                grid = voxelize_solid(solid, resolution)
             samples.append(Sample(sample_id, spec, text, grid))
     return samples
 

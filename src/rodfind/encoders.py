@@ -18,8 +18,11 @@ layer stores just the live ones, as eight per-position Cin -> Cout maps
 (`live_taps`). The initializer still draws that layer's full 3x3x3 kernel
 and keeps the live taps, so every weight starts where it did when all 27
 were stored and the random stream of the layers after it is unchanged.
+A shape batch is a (B, 16, 16, 16) occupancy array with B >= 1 (callers
+stack `VoxelGrid.occupancy`); anything else raises EncoderError.
 
-Both forwards have exact reverse-mode counterparts used by the trainer.
+Each apply returns the embeddings and the layer caches its backward
+consumes; each forward returns the embeddings alone.
 
 Parameters: each encoder keeps all of its parameters in one contiguous
 buffer (`Params.flat`) with named views into it (`Params.arrays`). The
@@ -43,7 +46,6 @@ import numpy as np
 
 from . import nn
 from .errors import EncoderError
-from .geometry import VoxelGrid
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,8 @@ def _token_matrix(tokens, lengths, config):
     return ids[:, :keep], lengths
 
 
-def text_apply(params: Params, tokens, lengths, with_cache=False):
+def text_apply(params: Params, tokens, lengths):
+    """(embeddings, caches) of a token batch."""
     ids, lengths = _token_matrix(tokens, lengths, params.config)
     a = params.arrays
     caches = []
@@ -241,7 +244,7 @@ def text_apply(params: Params, tokens, lengths, with_cache=False):
         x, c = nn.relu_forward(x)
         caches.append((f"relu{i}", c))
     h, c = nn.gru_forward(x, lengths, a["gru_w_ih"], a["gru_w_hh"],
-                          a["gru_b_ih"], a["gru_b_hh"], want_trace=with_cache)
+                          a["gru_b_ih"], a["gru_b_hh"])
     caches.append(("gru", c))
     y, c = nn.linear_forward(h, a["fc1_w"], a["fc1_b"])
     caches.append(("fc1", c))
@@ -253,7 +256,7 @@ def text_apply(params: Params, tokens, lengths, with_cache=False):
     caches.append(("norm", c))
     if not np.isfinite(y).all():
         raise EncoderError("text encoder produced a non-finite embedding")
-    return (y, caches) if with_cache else (y, None)
+    return y, caches
 
 
 def text_forward(params: Params, tokens, lengths) -> np.ndarray:
@@ -284,25 +287,18 @@ def text_backward(params: Params, caches, d_emb) -> np.ndarray:
 # shape pipeline
 
 def _grid_batch(grids, config, dtype):
-    if isinstance(grids, np.ndarray):
-        batch = grids
-    else:
-        arrays = []
-        for g in grids:
-            arrays.append(g.occupancy if isinstance(g, VoxelGrid) else np.asarray(g))
-        if not arrays:
-            raise EncoderError("shape batch is empty")
-        batch = np.stack(arrays)
+    batch = np.asarray(grids)
+    if batch.size == 0:
+        raise EncoderError("shape batch is empty")
     n = config.resolution
     if batch.ndim != 4 or batch.shape[1:] != (n, n, n):
         raise EncoderError(f"shape batch must be (batch, {n}, {n}, {n}), "
                            f"got {batch.shape}")
-    if len(batch) == 0:
-        raise EncoderError("shape batch is empty")
     return batch.astype(dtype)[..., None]
 
 
-def shape_apply(params: Params, grids, with_cache=False):
+def shape_apply(params: Params, grids):
+    """(embeddings, caches) of a (B, 16, 16, 16) occupancy batch."""
     x = _grid_batch(grids, params.config, params.flat.dtype)
     a = params.arrays
     caches = []
@@ -326,11 +322,11 @@ def shape_apply(params: Params, grids, with_cache=False):
     caches.append(("norm", c))
     if not np.isfinite(y).all():
         raise EncoderError("shape encoder produced a non-finite embedding")
-    return (y, caches) if with_cache else (y, None)
+    return y, caches
 
 
 def shape_forward(params: Params, grids) -> np.ndarray:
-    """Embed a batch of 16^3 grids; rows are unit norm."""
+    """Embed a (B, 16, 16, 16) occupancy batch; rows are unit norm."""
     return shape_apply(params, grids)[0]
 
 
@@ -459,6 +455,9 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
     for entry in expected:
         if entry["offset"] + entry["nbytes"] > blob_size:
             raise EncoderError(f"checkpoint blob truncated at {entry['name']}")
+    extra = blob_size - expected[-1]["offset"] - expected[-1]["nbytes"]
+    if extra:
+        raise EncoderError(f"checkpoint has {extra} bytes after its last parameter")
 
     loaded, start = [], newline + 1
     for config in (text_config, shape_config):

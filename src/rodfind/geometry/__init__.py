@@ -15,5 +15,5 @@ from .solids import (
     translate_solid,
 )
 from .stl import TriangleMesh, cuboid_mesh, parse_stl, write_stl
-from .voxelize import GridMeta, VoxelGrid, voxelize_mesh, voxelize_solid
+from .voxelize import VoxelGrid, voxelize_mesh, voxelize_solid
 from .build import BAND_MIDPOINTS, SIZE_BANDS, build_solid, concrete_sizes

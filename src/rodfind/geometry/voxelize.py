@@ -8,7 +8,7 @@ surface (mesh path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import binary_propagation
@@ -21,22 +21,11 @@ DEFAULT_RESOLUTION = 16
 
 
 @dataclass
-class GridMeta:
-    """Provenance of a grid: source id plus the world->cube normalization
-    (normalized = (p - origin) / cube_side). Not part of grid equality."""
-
-    source_id: str | None = None
-    origin: tuple[float, float, float] | None = None
-    cube_side: float | None = None
-
-
-@dataclass
 class VoxelGrid:
     """Cubic binary occupancy grid, indexed [ix, iy, iz]."""
 
     resolution: int
     occupancy: np.ndarray
-    meta: GridMeta = field(default_factory=GridMeta)
 
     def __post_init__(self):
         n = int(self.resolution)
@@ -71,8 +60,8 @@ def _check_resolution(resolution):
 
 
 def _grid_centers(box: Aabb, n: int):
-    """World coordinates of voxel centers for a box normalized into the
-    cube of side max(extent), centered; returns (pts (n^3, 3), origin, side)."""
+    """World coordinates (n^3, 3) of voxel centers for a box normalized into
+    the cube of side max(extent), centered."""
     extent = box.extent
     side = max(extent)
     if not side > 0:
@@ -82,12 +71,11 @@ def _grid_centers(box: Aabb, n: int):
     steps = (np.arange(n, dtype=np.float64) + 0.5) * (side / n)
     axes = [origin[a] + steps for a in range(3)]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    return pts, origin, side
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
 def voxelize_solid(solid, resolution: int = DEFAULT_RESOLUTION, *,
-                   aabb: Aabb | None = None, source_id: str | None = None) -> VoxelGrid:
+                   aabb: Aabb | None = None) -> VoxelGrid:
     """Occupancy by CSG point membership at voxel centers (interior included
     by construction). An explicit `aabb` pins the normalization frame, which
     lets callers compare solids on a common grid."""
@@ -96,9 +84,8 @@ def voxelize_solid(solid, resolution: int = DEFAULT_RESOLUTION, *,
     if any(e <= 0 for e in box.extent):
         raise VoxelError(
             f"degenerate solid: zero-volume bounding-box axis (extent {box.extent})")
-    pts, origin, side = _grid_centers(box, n)
-    occ = contains(solid, pts).reshape(n, n, n).astype(np.uint8)
-    return VoxelGrid(n, occ, GridMeta(source_id, origin, side))
+    occ = contains(solid, _grid_centers(box, n)).reshape(n, n, n).astype(np.uint8)
+    return VoxelGrid(n, occ)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +193,7 @@ def _ray_parity(point: np.ndarray, verts: np.ndarray) -> int:
 
 
 def voxelize_mesh(mesh: TriangleMesh, resolution: int = DEFAULT_RESOLUTION, *,
-                  mode: str = "fill", source_id: str | None = None) -> VoxelGrid:
+                  mode: str = "fill") -> VoxelGrid:
     """Voxelize a triangle mesh.
 
     mode="fill" marks surface cells (exact triangle-box overlap) and fills
@@ -245,8 +232,7 @@ def voxelize_mesh(mesh: TriangleMesh, resolution: int = DEFAULT_RESOLUTION, *,
                 f"mesh is not watertight: flood fill leaks into interior "
                 f"candidate cell {leak}; use mode='surface'")
         occ = ~exterior
-    return VoxelGrid(n, occ.astype(np.uint8),
-                     GridMeta(source_id, tuple(origin), side))
+    return VoxelGrid(n, occ.astype(np.uint8))
 
 
 def _find_leak(exterior, surface, verts_cells):

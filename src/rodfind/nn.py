@@ -16,14 +16,14 @@ step, at every batch size: even a single row multiplies the transposed
 view more slowly than the copy (20-24 against 16-21 us per GRU step, H=256,
 float32, one thread of a 2-vCPU x86 VM).
 
-The GRU's per-step loop allocates nothing. Each step writes through `out=`
-into arrays made once per call: the trace the backward reads is kept
-time-major, (steps, B, width) per quantity, and a forward-only call keeps
-one step of it and two alternating states. The backward computes its
-per-step factors for all steps at once, leaving the loop a handful of
-calls. The sigmoid is 0.5 * tanh(0.5 * x) + 0.5, in place; it differs from
-the exact logistic by at most 6e-8 in float32 and 2.2e-16 in float64
-(absolute; relative accuracy is lost only where a gate is below ~1e-7).
+The GRU's one per-step loop allocates nothing. Each step writes through
+`out=` into arrays made once per call: every call keeps the trace the
+backward reads, time-major, (steps, B, width) per quantity. The backward
+computes its per-step factors for all steps at once, leaving the loop a
+handful of calls. The sigmoid is 0.5 * tanh(0.5 * x) + 0.5, in place; it
+differs from the exact logistic by at most 6e-8 in float32 and 2.2e-16 in
+float64 (absolute; relative accuracy is lost only where a gate is below
+~1e-7).
 
 Layers that only move values index by reshaping, not by looping over
 window offsets: stride-3 windows of a kernel-3 convolution do not overlap,
@@ -226,7 +226,7 @@ def _sigmoid_(a):
     return a
 
 
-def gru_forward(x, lengths, w_ih, w_hh, b_ih, b_hh, want_trace=True):
+def gru_forward(x, lengths, w_ih, w_hh, b_ih, b_hh):
     """x: (B, L, X); gate layout [reset | update | candidate], each H wide.
 
     The summary is the mean of the states at the valid positions t < length,
@@ -244,19 +244,16 @@ def gru_forward(x, lengths, w_ih, w_hh, b_ih, b_hh, want_trace=True):
     all_active = actives.all(axis=(1, 2)).tolist()
     # the trace, time-major: states[t] is the state entering step t, and
     # rz, rgh and n hold step t's gates, the reset gate times the
-    # candidate's hidden projection, and the candidate; a forward-only call
-    # keeps one step and alternates two states
-    kept = steps if want_trace else min(steps, 1)
-    states = np.zeros((kept + 1 if want_trace else 2, B, H), dtype=x.dtype)
-    rz_all = np.empty((kept, B, 2 * H), dtype=x.dtype)
-    rgh_all = np.empty((kept, B, H), dtype=x.dtype)
-    n_all = np.empty((kept, B, H), dtype=x.dtype)
+    # candidate's hidden projection, and the candidate
+    states = np.zeros((steps + 1, B, H), dtype=x.dtype)
+    rz_all = np.empty((steps, B, 2 * H), dtype=x.dtype)
+    rgh_all = np.empty((steps, B, H), dtype=x.dtype)
+    n_all = np.empty((steps, B, H), dtype=x.dtype)
     gh = np.empty((B, 3 * H), dtype=x.dtype)
     pooled = np.zeros((B, H), dtype=x.dtype)
     for t in range(steps):
-        k = t if want_trace else 0
-        h, h_next = states[t % len(states)], states[(t + 1) % len(states)]
-        rz, rgh, n = rz_all[k], rgh_all[k], n_all[k]
+        h, h_next = states[t], states[t + 1]
+        rz, rgh, n = rz_all[t], rgh_all[t], n_all[t]
         gx = gx_all[:, t]
         np.matmul(h, w_hh_t, out=gh)
         gh += b_hh

@@ -13,6 +13,7 @@ The kept arrays are never written to the index file.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -133,14 +134,12 @@ def save_index(index: ShapeIndex, path) -> None:
                            + b"\n" + blob)
 
 
-def load_index(path) -> ShapeIndex:
-    """Read `save_index` output; malformed input raises RetrievalError."""
-    data = Path(path).read_bytes()
-    newline = data.find(b"\n")
-    if newline < 0:
+def _parse_header(line: bytes, path) -> dict:
+    """The index header from its line; malformed input raises RetrievalError."""
+    if not line.endswith(b"\n"):
         raise RetrievalError(f"{path}: not an index file")
     try:
-        header = json.loads(data[:newline].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise RetrievalError(f"{path}: index header is not UTF-8 JSON: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != INDEX_MAGIC:
@@ -154,15 +153,26 @@ def load_index(path) -> ShapeIndex:
                 kind is list and not all(isinstance(v, str) for v in value)):
             raise RetrievalError(f"{path}: index header field {key!r} is missing "
                                  f"or not a {kind.__name__}")
-    blob = data[newline + 1:]
-    count, dim = len(header["ids"]), header["dim"]
-    if dim < 1:
-        raise RetrievalError(f"{path}: embedding width dim={dim} must be positive")
-    expected = count * dim * 4
-    if len(blob) != expected:
-        raise RetrievalError(f"{path}: embedding block holds {len(blob)} bytes, "
-                             f"expected {expected}")
-    embeddings = np.frombuffer(blob, dtype="<f4").reshape(count, dim).copy()
+    if header["dim"] < 1:
+        raise RetrievalError(f"{path}: embedding width dim={header['dim']} "
+                             "must be positive")
+    return header
+
+
+def load_index(path) -> ShapeIndex:
+    """Read `save_index` output; malformed input raises RetrievalError.
+
+    The header line is read first, then the embedding block straight into
+    its array, so the file's bytes are never held whole."""
+    with open(path, "rb") as stream:
+        header = _parse_header(stream.readline(), path)
+        count, dim = len(header["ids"]), header["dim"]
+        expected = count * dim * 4
+        size = os.fstat(stream.fileno()).st_size - stream.tell()
+        if size != expected:
+            raise RetrievalError(f"{path}: embedding block holds {size} bytes, "
+                                 f"expected {expected}")
+        embeddings = np.fromfile(stream, dtype="<f4", count=count * dim).reshape(count, dim)
     return ShapeIndex(header["ids"], embeddings, header["nrrd_paths"],
                       header["texts"], header["fingerprint"], header["resolution"])
 

@@ -5,8 +5,8 @@ anchor, the semi-hard negative with the smallest anchor-negative distance
 (falling back to the hardest negative when no semi-hard one exists) and
 averages the hinge over anchors.
 
-The optimizer is plain SGD or Adam (Kingma & Ba, arXiv:1412.6980) with the
-published constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
+The optimizer is Adam (Kingma & Ba, arXiv:1412.6980) with the published
+constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class TrainerConfig:
     margin: float = 0.2
     mu: float = 1.0
     seed: int = 0
-    optimizer: str = "adam"  # "adam" | "sgd"
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -52,8 +51,6 @@ class TrainerConfig:
                 raise TrainingError(f"{name} must be positive")
         if self.mu < 0:
             raise TrainingError("mu must be nonnegative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise TrainingError(f"unknown optimizer {self.optimizer!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +166,8 @@ def loss_and_gradients(tokens, lengths, grids, ids, text_params, shape_params,
                        config: TrainerConfig):
     """Batch loss plus exact reverse-mode gradients for every parameter, one
     buffer per encoder laid out like its `Params.flat`."""
-    temb, tcache = enc.text_apply(text_params, tokens, lengths, with_cache=True)
-    semb, scache = enc.shape_apply(shape_params, grids, with_cache=True)
+    temb, tcache = enc.text_apply(text_params, tokens, lengths)
+    semb, scache = enc.shape_apply(shape_params, grids)
     dists = pairwise_distances(temb, semb)
     if not np.isfinite(dists).all():
         raise TrainingError("non-finite distances in the forward pass")
@@ -205,22 +202,14 @@ def _update(flat, grad, m, v, step, config):
     Adam moments m and v, three buffers with the same layout. Each element's
     arithmetic is the same whether or not the buffers are cut into blocks."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    if config.optimizer == "sgd":
-        lr = float(config.learning_rate)
-    else:
-        # fold both bias corrections into the step size; a Python float keeps
-        # the arithmetic in the parameters' dtype
-        lr = float(config.learning_rate) * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
+    # fold both bias corrections into the step size; a Python float keeps
+    # the arithmetic in the parameters' dtype
+    lr = float(config.learning_rate) * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
     scratch = np.empty(min(UPDATE_BLOCK, flat.size), dtype=flat.dtype)
     for lo in range(0, flat.size, UPDATE_BLOCK):
         block = slice(lo, lo + UPDATE_BLOCK)
-        p, g = flat[block], grad[block]
+        p, g, m_b, v_b = flat[block], grad[block], m[block], v[block]
         tmp = scratch[:p.size]
-        if config.optimizer == "sgd":
-            np.multiply(g, lr, out=tmp)
-            p -= tmp
-            continue
-        m_b, v_b = m[block], v[block]
         np.multiply(g, 1.0 - b1, out=tmp)
         m_b *= b1
         m_b += tmp
@@ -334,8 +323,9 @@ def embed_texts(text_params, samples, vocab):
 
 
 def embed_shapes(shape_params, samples):
-    return np.concatenate([enc.shape_forward(shape_params, [s.grid for s in part])
-                           for part in _chunks(samples)])
+    return np.concatenate([
+        enc.shape_forward(shape_params, np.stack([s.grid.occupancy for s in part]))
+        for part in _chunks(samples)])
 
 
 def recall_from_embeddings(text_embs, shape_embs, ids, k: int) -> float:

@@ -118,8 +118,8 @@ def trainer_loss(tokens, lengths, grids, ids, tp, sp, config):
     """(loss, kinks) of the bidirectional batch loss: tr.combined_loss's
     value, plus the encoders' kinks, the mined negatives and the active
     hinges."""
-    temb, tcache = enc.text_apply(tp, tokens, lengths, with_cache=True)
-    semb, scache = enc.shape_apply(sp, grids, with_cache=True)
+    temb, tcache = enc.text_apply(tp, tokens, lengths)
+    semb, scache = enc.shape_apply(sp, grids)
     dists = tr.pairwise_distances(temb, semb)
     total, _, _, triplets = tr.combined_loss_from_distances(
         dists, ids, config.margin, config.mu)

@@ -262,7 +262,7 @@ def test_criterion_08_gradient_check():
               f"zeros; {elapsed:.0f} s")
 
 
-DESK_MARGIN = 0.5  # not pinned by the criterion; an exposed tuner factor
+DESK_MARGIN = 0.5  # not pinned by the criterion; `rodfind train --margin`'s default
 
 
 @pytest.mark.slow

@@ -229,6 +229,16 @@ def test_eval_bad_k_is_usage_error_before_loading(k, tmp_path, capsys):
     assert "--k" in err and "missing" not in err
 
 
+@pytest.mark.parametrize("k", ["x", "0", "-1"])
+def test_query_bad_k_is_usage_error_before_loading(k, tmp_path, capsys):
+    code = dispatch(["query", "--index", str(tmp_path / "missing.idx"),
+                     "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--text", "the shaft", "--k", k])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--k" in err and "missing" not in err
+
+
 def test_eval_k_from_config_file(workspace, capsys, tmp_path):
     root, data, ckpt, _ = workspace
     config = tmp_path / "config.json"
@@ -282,6 +292,32 @@ def test_tune_runs_a_tiny_design(workspace, capsys, tmp_path, monkeypatch):
     assert "best combination" in capsys.readouterr().out
     # each row's score is the val recall@1 fit logged after its last epoch
     assert counts["evaluations"] == counts["epochs"] == 1 + 2 + 1 + 2
+
+
+def test_tune_trains_with_the_train_defaults_its_design_leaves_out(
+        workspace, tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from rodfind import training as tr
+
+    _, data, _, _ = workspace
+    seen = []
+
+    def recorded_fit(train, val, config, shape_config):
+        seen.append((config, shape_config.num_conv_layers))
+        return SimpleNamespace(log=[SimpleNamespace(val_recall1=config.batch_size / 10)])
+
+    monkeypatch.setattr(tr, "fit", recorded_fit)
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"kind": "full_factorial", "factors": [
+        {"name": "batch size", "levels": [2, 3]}]}))
+    assert dispatch(["tune", "--manifest", str(data / "manifest.csv"),
+                     "--design", str(design), "--out", str(tmp_path / "report.csv"),
+                     "--seed", "5"]) == 0
+    # `rodfind train`'s defaults, as its --help lists them
+    assert [(c.batch_size, c.margin, c.learning_rate, c.epochs, c.mu, c.seed, layers)
+            for c, layers in seen] == [(2, 0.5, 1e-5, 100, 1.0, 5, 7),
+                                       (3, 0.5, 1e-5, 100, 1.0, 5, 7)]
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

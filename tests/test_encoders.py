@@ -223,12 +223,12 @@ class TestBackward:
         tokens = rng.integers(2, 8, size=(2, 8))
         lengths = np.array([5, 7])
         probe = rng.normal(size=(2, 4))
-        y, caches = enc.text_apply(tp, tokens, lengths, with_cache=True)
+        y, caches = enc.text_apply(tp, tokens, lengths)
         gc.assert_spread(y, "text")
         grads = enc.text_backward(tp, caches, probe)
 
         def loss():
-            y, caches = enc.text_apply(tp, tokens, lengths, with_cache=True)
+            y, caches = enc.text_apply(tp, tokens, lengths)
             return float((y * probe).sum()), gc.text_kinks(caches)
 
         worst, _ = gc.check_gradients([(tp.arrays, tp.views(grads))], loss, h=1e-5, picks=8)
@@ -239,12 +239,12 @@ class TestBackward:
         rng = np.random.default_rng(6)
         grids = (rng.random((2, 16, 16, 16)) < 0.4).astype(np.float64)
         probe = rng.normal(size=(2, 4))
-        y, caches = enc.shape_apply(sp, grids, with_cache=True)
+        y, caches = enc.shape_apply(sp, grids)
         gc.assert_spread(y, "shape")
         grads = enc.shape_backward(sp, caches, probe)
 
         def loss():
-            y, caches = enc.shape_apply(sp, grids, with_cache=True)
+            y, caches = enc.shape_apply(sp, grids)
             return float((y * probe).sum()), gc.shape_kinks(caches)
 
         worst, _ = gc.check_gradients([(sp.arrays, sp.views(grads))], loss, h=1e-5, picks=8)
@@ -325,6 +325,14 @@ class TestCheckpoint:
         path.write_bytes(data[:-100])
         with pytest.raises(EncoderError, match="truncated"):
             enc.load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [b"\0", b"trailing junk", bytes(4)],
+                             ids=["one-byte", "text", "one-float"])
+    def test_bytes_after_the_last_parameter_rejected(self, extra):
+        tp, sp = enc.init_params(12, seed=9)
+        data = enc.checkpoint_bytes(tp, sp, {}, {})
+        with pytest.raises(EncoderError, match=f"{len(extra)} bytes after its last"):
+            enc.parse_checkpoint(data + extra)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "other.bin"

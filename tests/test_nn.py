@@ -287,8 +287,6 @@ def test_gru_matches_the_per_step_reference(dtype, lengths, length):
     args = [a.astype(dtype) for a in (p.x, p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
     y, cache = nn.gru_forward(args[0], lengths, *args[1:])
     grads = nn.gru_backward(cache, dpool.astype(dtype))
-    forward_only, _ = nn.gru_forward(args[0], lengths, *args[1:], want_trace=False)
-    assert np.array_equal(forward_only, y)
     for got, want in zip((y, *grads), (want_y, *want_grads)):
         assert got.dtype == dtype and got.shape == want.shape
         scale = max(np.abs(want).max(), np.finfo(np.float64).tiny)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,27 @@ class TestIndexIO:
             shared.embeddings[0, 0] = 0.0
         mine[0, 0] = 0.0
         assert shared.embeddings[0, 0] == 0.0  # shared, not copied
+
+    def test_loading_peaks_below_the_index_plus_one_and_a_quarter_files(self, tmp_path):
+        # a query-sized gallery: 128-d rows and ~714-byte texts, so the JSON
+        # header is most of the file
+        count, dim = 2000, 128
+        rng = np.random.default_rng(4)
+        index = rt.ShapeIndex([f"AAX{i:05d}" for i in range(count)],
+                              rng.standard_normal((count, dim)).astype(np.float32),
+                              [""] * count, [f"{i:05d} " + "w" * 708 for i in range(count)],
+                              "f" * 64, 16)
+        path = tmp_path / "gallery.idx"
+        rt.save_index(index, path)
+        tracemalloc.start()
+        try:
+            loaded = rt.load_index(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == index
+        # the parent's three copies of the block and the file put this at ~1.5
+        assert (peak - held) / path.stat().st_size < 1.25
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "junk.idx"

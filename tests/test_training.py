@@ -38,8 +38,8 @@ def brute_force_mine(dists, ids, margin):
 def reference_loss_and_gradients(tokens, lengths, grids, ids, tp, sp, config):
     """The trainer's former per-triplet hinge and gradient loops, on the
     brute-force mining: loss and flat gradients of both encoders."""
-    temb, tcache = enc.text_apply(tp, tokens, lengths, with_cache=True)
-    semb, scache = enc.shape_apply(sp, grids, with_cache=True)
+    temb, tcache = enc.text_apply(tp, tokens, lengths)
+    semb, scache = enc.shape_apply(sp, grids)
     dists = tr.pairwise_distances(temb, semb)
     n = temb.shape[0]
     sums = {"t2s": 0.0, "s2t": 0.0}
@@ -334,7 +334,7 @@ class TestOptimizer:
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def test_adam_matches_a_float64_reference(self):
-        cfg = tr.TrainerConfig(learning_rate=1e-2, optimizer="adam")
+        cfg = tr.TrainerConfig(learning_rate=1e-2)
         rng = np.random.default_rng(12)
         flat = rng.standard_normal(self.SIZE).astype(np.float32)
         m, v = np.zeros_like(flat), np.zeros_like(flat)
@@ -359,22 +359,9 @@ class TestOptimizer:
             tol = 2 * t * eps32 * (np.abs(ref) + cfg.learning_rate)
             assert (np.abs(flat - ref) <= tol).all()
 
-    def test_sgd_step_is_lr_times_gradient(self):
-        cfg = tr.TrainerConfig(learning_rate=0.3, optimizer="sgd")
-        rng = np.random.default_rng(13)
-        flat = rng.standard_normal(self.SIZE).astype(np.float32)
-        before = flat.copy()
-        grad = rng.standard_normal(self.SIZE).astype(np.float32)
-        tr._update(flat, grad, np.zeros_like(flat), np.zeros_like(flat), 1, cfg)
-        assert flat.dtype == np.float32
-        assert np.array_equal(flat, before - cfg.learning_rate * grad)
-
     @classmethod
     def unblocked_update(cls, flat, grad, m, v, step, config):
         """The update as one pass over whole buffers."""
-        if config.optimizer == "sgd":
-            flat -= config.learning_rate * grad
-            return
         b1, b2 = cls.BETA1, cls.BETA2
         lr = float(config.learning_rate) * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
         m *= b1
@@ -383,9 +370,9 @@ class TestOptimizer:
         v += np.multiply(grad, 1.0 - b2) * grad
         flat -= lr * (m / (np.sqrt(v) + cls.EPS))
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("optimizer", ["adam"])
     def test_blocked_update_is_bitwise_one_unblocked_pass(self, optimizer):
-        cfg = tr.TrainerConfig(learning_rate=1e-2, optimizer=optimizer)
+        cfg = tr.TrainerConfig(learning_rate=1e-2)
         rng = np.random.default_rng(14)
         size = 2 * tr.UPDATE_BLOCK + 12_345  # two whole blocks and a part
         blocked = [rng.standard_normal(size).astype(np.float32), np.zeros(size, np.float32),
