@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--design", required=True, help="design JSON (kind, factors)")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("index", help="embed a gallery and persist the index")
@@ -303,9 +302,10 @@ def _cmd_tune(args) -> int:
         # fit's last epoch already measured val recall@1 with the final params
         return 100.0 * result.log[-1].val_recall1
 
-    report = doe.run_tuning(design, objective, budget=args.budget,
-                            report_path=args.out)
-    print(report.to_csv())
+    report = doe.run_tuning(design, objective)
+    csv_text = report.to_csv()
+    Path(args.out).write_text(csv_text, encoding="utf-8")
+    print(csv_text)
     print(f"best combination {report.ranges.best_combination} "
           f"({'ran' if report.recommended_was_run else 'not run'}): "
           f"{report.recommended}")

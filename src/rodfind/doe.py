@@ -1,5 +1,8 @@
 """Orthogonal-experiment tuning: L9/L16/full-factorial designs, range
-analysis, one-way balanced ANOVA with F-distribution p-values."""
+analysis, one-way balanced ANOVA with F-distribution p-values, and
+`run_tuning`, which runs each design row once through an objective and
+stops at the first row that fails, since every later row's response would
+be discarded with the analysis."""
 
 from __future__ import annotations
 
@@ -7,8 +10,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import scipy.special
 
@@ -56,12 +58,6 @@ class DesignMatrix:
 
     def assignment(self, row: int) -> dict:
         return {f.name: f.levels[i] for f, i in zip(self.factors, self.rows[row])}
-
-    def level_counts(self, j: int) -> list[int]:
-        counts = [0] * len(self.factors[j].levels)
-        for row in self.rows:
-            counts[row[j]] += 1
-        return counts
 
 
 def make_design(kind: str, factors) -> DesignMatrix:
@@ -182,13 +178,6 @@ def anova(design: DesignMatrix, responses) -> AnovaTable:
     """Balanced one-way decomposition: SS_factor from level sums against the
     correction factor, residual as the leftover of the total."""
     responses = _check_responses(design, responses)
-    for j, factor in enumerate(design.factors):
-        counts = design.level_counts(j)
-        if len(set(counts)) != 1:
-            raise DesignError(
-                f"factor {factor.name!r} is unbalanced ({counts}); "
-                "Taguchi analysis needs balanced designs")
-
     n = len(responses)
     total = sum(responses)
     cf = total * total / n
@@ -198,6 +187,10 @@ def anova(design: DesignMatrix, responses) -> AnovaTable:
     factor_rows = []
     for j, factor in enumerate(design.factors):
         sums, counts = _level_sums(design, responses, j)
+        if len(set(counts)) != 1:
+            raise DesignError(
+                f"factor {factor.name!r} is unbalanced ({counts}); "
+                "Taguchi analysis needs balanced designs")
         ss = sum(s * s / c for s, c in zip(sums, counts)) - cf
         df = len(factor.levels) - 1
         factor_rows.append(AnovaRow(factor.name, df, ss, ss / df, None, None))
@@ -248,8 +241,7 @@ def f_upper_p(f_value: float, df1: int, df2: int) -> float:
 class TuningRun:
     run_id: int
     assignment: dict
-    response: float | None
-    error: str | None = None
+    response: float
 
 
 @dataclass
@@ -291,34 +283,28 @@ class TuningReport:
         return buf.getvalue()
 
 
-def run_tuning(design: DesignMatrix, objective, budget: int | None = None,
-               report_path=None) -> TuningReport:
+def run_tuning(design: DesignMatrix, objective) -> TuningReport:
     """Execute every design row once through `objective(config) -> response`,
-    then analyze. The recommended best-level combination may be a cell the
+    then analyze. The first row whose objective raises or returns a
+    non-finite response stops the run: no later row is run, and a
+    DesignError naming the row and its assignment is raised from the
+    failure. The recommended best-level combination may be a cell the
     design never ran (flagged accordingly)."""
-    if budget is not None and budget < len(design.rows):
-        raise DesignError(
-            f"budget {budget} cannot cover the {len(design.rows)} design rows")
     runs = []
     for r in range(len(design.rows)):
         assignment = design.assignment(r)
         try:
             response = float(objective(assignment))
-            runs.append(TuningRun(r + 1, assignment, response))
-        except Exception as exc:  # objective failures are data
-            runs.append(TuningRun(r + 1, assignment, None, error=str(exc)))
-    failed = [run.run_id for run in runs if run.error is not None]
-    if failed:
-        raise DesignError(
-            f"objective failed on rows {failed}: "
-            + "; ".join(run.error for run in runs if run.error))
+            if not math.isfinite(response):
+                raise ValueError(f"response {response} is not finite")
+        except Exception as exc:
+            raise DesignError(f"objective failed on row {r + 1} ({assignment}): "
+                              f"{exc}") from exc
+        runs.append(TuningRun(r + 1, assignment, response))
 
     responses = [run.response for run in runs]
     ranges = range_analysis(design, responses)
     table = anova(design, responses)
     best_rows = tuple(ranges.best_levels)
-    report = TuningReport(design, runs, ranges, table, ranges.best_config(),
-                          best_rows in design.rows)
-    if report_path is not None:
-        Path(report_path).write_text(report.to_csv(), encoding="utf-8")
-    return report
+    return TuningReport(design, runs, ranges, table, ranges.best_config(),
+                        best_rows in design.rows)

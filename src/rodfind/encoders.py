@@ -35,6 +35,7 @@ stay valid.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -371,12 +372,6 @@ class Checkpoint:
     fingerprint: str = ""
 
 
-def _config_json(config):
-    data = {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in config.__dict__.items()}
-    return data
-
-
 def _config_from_json(cls, data):
     return cls(**{k: (tuple(v) if isinstance(v, list) else v) for k, v in data.items()})
 
@@ -399,8 +394,8 @@ def checkpoint_bytes(text: Params, shape: Params,
     header = {
         "format": "rodfind-checkpoint",
         "version": CHECKPOINT_VERSION,
-        "text_config": _config_json(text.config),
-        "shape_config": _config_json(shape.config),
+        "text_config": dataclasses.asdict(text.config),
+        "shape_config": dataclasses.asdict(shape.config),
         "vocab": vocab_words,
         "meta": meta or {},
         "params": _entries(text.config, shape.config),
@@ -417,17 +412,22 @@ def save_checkpoint(path, text, shape, vocab_words, meta=None) -> str:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    data = Path(path).read_bytes()
-    return parse_checkpoint(data)
+    with open(path, "rb") as stream:
+        return parse_checkpoint(stream)
 
 
-def parse_checkpoint(data: bytes) -> Checkpoint:
-    """Read `checkpoint_bytes` output; malformed input raises EncoderError."""
-    newline = data.find(b"\n")
-    if newline < 0:
+def parse_checkpoint(stream) -> Checkpoint:
+    """Read `checkpoint_bytes` output from a binary stream (an open file, or
+    bytes wrapped in `io.BytesIO`); malformed input raises EncoderError.
+
+    The header line is read first, then each encoder's buffer straight into
+    its array, hashing every byte on the way for the fingerprint, so the
+    stream's bytes are never held whole."""
+    line = stream.readline()
+    if not line.endswith(b"\n"):
         raise EncoderError("checkpoint is missing its metadata line")
     try:
-        header = json.loads(data[:newline].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise EncoderError(f"checkpoint metadata is not UTF-8 JSON: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != "rodfind-checkpoint":
@@ -451,19 +451,32 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
         if got != want:
             raise EncoderError(f"checkpoint entry {got} does not match the "
                                f"layout's {want}")
-    blob_size = len(data) - newline - 1
-    for entry in expected:
-        if entry["offset"] + entry["nbytes"] > blob_size:
-            raise EncoderError(f"checkpoint blob truncated at {entry['name']}")
-    extra = blob_size - expected[-1]["offset"] - expected[-1]["nbytes"]
+    _check_vocab(vocab, text_config.vocab_size)
+
+    digest = hashlib.sha256(line)
+    loaded, blob_size = [], 0
+    for config in (text_config, shape_config):
+        flat = np.empty(_size(config), dtype="<f4")
+        got = stream.readinto(flat)
+        blob_size += got
+        if got < flat.nbytes:
+            name = next(entry["name"] for entry in expected
+                        if entry["offset"] + entry["nbytes"] > blob_size)
+            raise EncoderError(f"checkpoint blob truncated at {name}")
+        digest.update(flat)
+        loaded.append(Params(config, flat.astype(np.float32, copy=False)))
+    extra = len(stream.read())
     if extra:
         raise EncoderError(f"checkpoint has {extra} bytes after its last parameter")
+    return Checkpoint(*loaded, vocab, header.get("meta", {}), digest.hexdigest())
 
-    loaded, start = [], newline + 1
-    for config in (text_config, shape_config):
-        count = _size(config)
-        flat = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        loaded.append(Params(config, flat.astype(np.float32)))
-        start += 4 * count
-    return Checkpoint(*loaded, vocab, header.get("meta", {}),
-                      hashlib.sha256(data).hexdigest())
+
+def _check_vocab(vocab, vocab_size):
+    """A checkpoint's vocabulary maps words to the ids 2 .. vocab_size - 1,
+    each once, as `Vocabulary` numbers them after the reserved PAD and UNK."""
+    if (not isinstance(vocab, dict)
+            or not all(type(i) is int for i in vocab.values())
+            or sorted(vocab.values()) != list(range(2, vocab_size))):
+        raise EncoderError("checkpoint vocab must map words to the ids 2 .. "
+                           f"{vocab_size - 1} of text_config.vocab_size "
+                           f"{vocab_size}, each once")

@@ -18,12 +18,13 @@ float32, one thread of a 2-vCPU x86 VM).
 
 The GRU's one per-step loop allocates nothing. Each step writes through
 `out=` into arrays made once per call: every call keeps the trace the
-backward reads, time-major, (steps, B, width) per quantity. The backward
-computes its per-step factors for all steps at once, leaving the loop a
-handful of calls. The sigmoid is 0.5 * tanh(0.5 * x) + 0.5, in place; it
-differs from the exact logistic by at most 6e-8 in float32 and 2.2e-16 in
-float64 (absolute; relative accuracy is lost only where a gate is below
-~1e-7).
+backward reads, time-major, (steps, B, width) per quantity. The loop only
+steps the recurrence; the summary is one masked sum over the kept states
+after it. The backward computes its per-step factors for all steps at
+once, leaving the loop a handful of calls. The sigmoid is
+0.5 * tanh(0.5 * x) + 0.5, in place; it differs from the exact logistic by
+at most 6e-8 in float32 and 2.2e-16 in float64 (absolute; relative
+accuracy is lost only where a gate is below ~1e-7).
 
 Layers that only move values index by reshaping, not by looping over
 window offsets: stride-3 windows of a kernel-3 convolution do not overlap,
@@ -241,7 +242,6 @@ def gru_forward(x, lengths, w_ih, w_hh, b_ih, b_hh):
     gx_all += b_ih
     w_hh_t = np.ascontiguousarray(w_hh.T)
     actives = (np.arange(steps)[:, None] < lengths[None, :])[:, :, None]
-    all_active = actives.all(axis=(1, 2)).tolist()
     # the trace, time-major: states[t] is the state entering step t, and
     # rz, rgh and n hold step t's gates, the reset gate times the
     # candidate's hidden projection, and the candidate
@@ -250,7 +250,6 @@ def gru_forward(x, lengths, w_ih, w_hh, b_ih, b_hh):
     rgh_all = np.empty((steps, B, H), dtype=x.dtype)
     n_all = np.empty((steps, B, H), dtype=x.dtype)
     gh = np.empty((B, 3 * H), dtype=x.dtype)
-    pooled = np.zeros((B, H), dtype=x.dtype)
     for t in range(steps):
         h, h_next = states[t], states[t + 1]
         rz, rgh, n = rz_all[t], rgh_all[t], n_all[t]
@@ -266,10 +265,9 @@ def gru_forward(x, lengths, w_ih, w_hh, b_ih, b_hh):
         np.subtract(h, n, out=h_next)
         h_next *= rz[:, H:]
         h_next += n
-        if all_active[t]:
-            pooled += h_next
-        else:
-            np.add(pooled, h_next, out=pooled, where=actives[t])
+    # numpy adds the leading axis's slices in step order, starting from 0;
+    # the summary's low bits depend on that order
+    pooled = np.add.reduce(states[1:], axis=0, where=actives)
     denom = np.maximum(lengths, 1)[:, None].astype(x.dtype)
     cache = (x, states, rz_all, rgh_all, n_all, actives, w_ih, w_hh, denom)
     return pooled / denom, cache

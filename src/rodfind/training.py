@@ -3,7 +3,9 @@
 The batch loss is Loss = Loss_t2s + mu * Loss_s2t: each direction mines, per
 anchor, the semi-hard negative with the smallest anchor-negative distance
 (falling back to the hardest negative when no semi-hard one exists) and
-averages the hinge over anchors.
+averages the hinge over anchors. `_objective` computes it, and its gradient
+with respect to the batch's distance matrix, with one vectorized hinge;
+`loss_and_gradients` is the one evaluation on a batch of tokens and grids.
 
 The optimizer is Adam (Kingma & Ba, arXiv:1412.6980) with the published
 constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
@@ -54,7 +56,7 @@ class TrainerConfig:
 
 
 # ---------------------------------------------------------------------------
-# distances, hinge, triplet classification
+# distances, triplet classification
 
 def squared_norms(embs: np.ndarray) -> np.ndarray:
     """Per-row squared Euclidean norms of a float64 (N, D) array."""
@@ -76,11 +78,6 @@ def pairwise_distances(text_embs: np.ndarray, shape_embs: np.ndarray,
         shape_sq = squared_norms(s)
     sq = squared_norms(t)[:, None] + shape_sq[None, :] - 2.0 * (t @ s.T)
     return np.sqrt(np.clip(sq, 0.0, None))
-
-
-def triplet_loss(d_ap: float, d_an: float, margin: float) -> float:
-    """Hinge on the anchor-positive vs anchor-negative gap."""
-    return max(d_ap - d_an + margin, 0.0)
 
 
 def classify_triplet(d_ap: float, d_an: float, margin: float) -> str:
@@ -150,16 +147,6 @@ def _objective(dists, ids, margin, mu):
 
 def combined_loss_from_distances(dists, ids, margin, mu):
     return _objective(dists, ids, margin, mu)[:4]
-
-
-def combined_loss(tokens, lengths, grids, ids, text_params, shape_params,
-                  config: TrainerConfig) -> float:
-    """Forward-only evaluation of the bidirectional batch loss."""
-    temb = enc.text_forward(text_params, tokens, lengths)
-    semb = enc.shape_forward(shape_params, grids)
-    dists = pairwise_distances(temb, semb)
-    total, _, _, _ = combined_loss_from_distances(dists, ids, config.margin, config.mu)
-    return total
 
 
 def loss_and_gradients(tokens, lengths, grids, ids, text_params, shape_params,

@@ -115,9 +115,9 @@ def shape_kinks(caches):
 
 
 def trainer_loss(tokens, lengths, grids, ids, tp, sp, config):
-    """(loss, kinks) of the bidirectional batch loss: tr.combined_loss's
-    value, plus the encoders' kinks, the mined negatives and the active
-    hinges."""
+    """(loss, kinks) of the bidirectional batch loss: the loss that
+    tr.loss_and_gradients returns, plus the encoders' kinks, the mined
+    negatives and the active hinges."""
     temb, tcache = enc.text_apply(tp, tokens, lengths)
     semb, scache = enc.shape_apply(sp, grids)
     dists = tr.pairwise_distances(temb, semb)

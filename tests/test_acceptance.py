@@ -6,6 +6,7 @@ epochs and dominates the suite's runtime (about ten minutes on one CPU
 core); every other criterion finishes in seconds.
 """
 
+import io
 import math
 import time
 
@@ -246,7 +247,7 @@ def test_criterion_08_gradient_check():
     def total():
         return gc.trainer_loss(tokens, lengths, grids, ids, tp, sp, config)
 
-    assert total()[0] == tr.combined_loss(tokens, lengths, grids, ids, tp, sp, config)
+    assert total()[0] == loss
     worst, checked = gc.check_gradients(
         [(tp.arrays, tp.views(tgrads)), (sp.arrays, sp.views(sgrads))], total, h=1e-3)
     assert worst <= gc.RTOL, f"worst relative error {worst:.2e} over {checked} coords"
@@ -308,8 +309,8 @@ def test_criterion_10_retrieval_contract(tmp_path):
     gallery = ds.generate_variants(bases=2, per_base=5, seed=21)
     vocab = ds.build_vocabulary(s.text for s in gallery)
     tp, sp = enc.init_params(vocab.size, seed=4)
-    checkpoint = enc.parse_checkpoint(
-        enc.checkpoint_bytes(tp, sp, vocab.word_to_id, {}))
+    checkpoint = enc.parse_checkpoint(io.BytesIO(
+        enc.checkpoint_bytes(tp, sp, vocab.word_to_id, {})))
     index = rt.build_index(gallery, checkpoint)
     result = rt.query(gallery[0].text, index, checkpoint, k=8)
     assert len(result.matches) == 8
@@ -323,8 +324,8 @@ def test_criterion_10_retrieval_contract(tmp_path):
     # rank-1 self-retrieval for every training text of the memorized toy
     samples, trained = _memorized_toy()
     assert trained.log[-1].train_loss < 0.01
-    toy_ckpt = enc.parse_checkpoint(enc.checkpoint_bytes(
-        trained.text_params, trained.shape_params, trained.vocab.word_to_id, {}))
+    toy_ckpt = enc.parse_checkpoint(io.BytesIO(enc.checkpoint_bytes(
+        trained.text_params, trained.shape_params, trained.vocab.word_to_id, {})))
     toy_index = rt.build_index(samples, toy_ckpt)
     for sample in samples:
         hits = rt.query(sample.text, toy_index, toy_ckpt, k=1).matches

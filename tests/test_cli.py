@@ -289,7 +289,8 @@ def test_tune_runs_a_tiny_design(workspace, capsys, tmp_path, monkeypatch):
     assert code == 0
     text = report.read_text()
     assert "# range analysis" in text and "# anova" in text
-    assert "best combination" in capsys.readouterr().out
+    # stdout is the report file's CSV, then the recommendation
+    assert capsys.readouterr().out.startswith(text + "\nbest combination")
     # each row's score is the val recall@1 fit logged after its last epoch
     assert counts["evaluations"] == counts["epochs"] == 1 + 2 + 1 + 2
 
@@ -318,6 +319,17 @@ def test_tune_trains_with_the_train_defaults_its_design_leaves_out(
     assert [(c.batch_size, c.margin, c.learning_rate, c.epochs, c.mu, c.seed, layers)
             for c, layers in seen] == [(2, 0.5, 1e-5, 100, 1.0, 5, 7),
                                        (3, 0.5, 1e-5, 100, 1.0, 5, 7)]
+
+
+def test_tune_has_no_budget_option(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budget": 9}))
+    assert dispatch(["--config", str(config), "tune"]) == 1
+    assert "'budget' is not an option of tune" in capsys.readouterr().err
+    assert dispatch(["tune", "--manifest", "m.csv", "--design", "d.json",
+                     "--out", str(tmp_path / "r.csv"), "--budget", "9"]) == 1
+    assert "unrecognized arguments: --budget 9" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

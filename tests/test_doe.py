@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ class TestDesigns:
         design = table2_design()
         assert len(design.rows) == 9
         for j in range(4):
-            assert design.level_counts(j) == [3, 3, 3]
+            assert Counter(row[j] for row in design.rows) == {0: 3, 1: 3, 2: 3}
         for a in range(4):
             for b in range(a + 1, 4):
                 pairs = {(row[a], row[b]) for row in design.rows}
@@ -51,7 +52,7 @@ class TestDesigns:
         design = table3_design()
         assert len(design.rows) == 16
         for j in range(4):
-            assert design.level_counts(j) == [4, 4, 4, 4]
+            assert Counter(row[j] for row in design.rows) == {0: 4, 1: 4, 2: 4, 3: 4}
         for a in range(4):
             for b in range(a + 1, 4):
                 assert len({(r[a], r[b]) for r in design.rows}) == 16
@@ -253,25 +254,38 @@ class TestRunTuning:
         def objective(config):
             return next(responses)
 
-        out = tmp_path / "report.csv"
-        report = doe.run_tuning(design, objective, budget=9, report_path=out)
+        report = doe.run_tuning(design, objective)
         assert report.ranges.order_string == "B > D > A > C"
         assert report.ranges.best_combination == "A3B2C3D2"
         assert not report.recommended_was_run  # A3B2C3D2 is an unrun cell
-        text = out.read_text()
+        text = report.to_csv()
         assert "B > D > A > C" in text and "A3B2C3D2" in text
-
-    def test_budget_below_rows_rejected(self):
-        with pytest.raises(DesignError, match="budget"):
-            doe.run_tuning(table2_design(), lambda c: 0.0, budget=8)
 
     def test_failed_rows_abort_analysis(self):
         design = table4_design()
+        calls = []
 
         def objective(config):
+            calls.append(config)
             if config["batch size"] == 16:
                 raise RuntimeError("boom")
             return 1.0
 
-        with pytest.raises(DesignError, match="failed on rows"):
+        with pytest.raises(DesignError, match="failed on row 3 ") as failure:
             doe.run_tuning(design, objective)
+        # row 3 is the first with batch size 16; no later row runs
+        assert calls == [design.assignment(r) for r in range(3)]
+        assert str(design.assignment(2)) in str(failure.value)
+        assert "boom" in str(failure.value)
+        assert isinstance(failure.value.__cause__, RuntimeError)
+
+    def test_non_finite_response_stops_the_run(self):
+        calls = []
+
+        def objective(config):
+            calls.append(config)
+            return math.nan
+
+        with pytest.raises(DesignError, match="failed on row 1 .*response nan is not finite"):
+            doe.run_tuning(table2_design(), objective)
+        assert len(calls) == 1

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +253,15 @@ class TestBackward:
         assert worst < gc.RTOL
 
 
+def words(vocab_size):
+    """A vocabulary that fits a text encoder of `vocab_size`: ids 2 .. size - 1."""
+    return {f"w{i}": i for i in range(2, vocab_size)}
+
+
+def parse(data):
+    return enc.parse_checkpoint(io.BytesIO(data))
+
+
 def _edit_header(change):
     """Checkpoint bytes -> the same bytes with `change` applied to the header."""
     def apply(data):
@@ -290,23 +301,38 @@ class TestCheckpoint:
 
     def test_version_1_checkpoint_refused_with_both_versions_named(self):
         data = _edit_header(lambda h: h.update(version=1))(
-            enc.checkpoint_bytes(*tiny_params(dtype=np.float32), {}, {}))
+            enc.checkpoint_bytes(*tiny_params(dtype=np.float32), words(8), {}))
         with pytest.raises(EncoderError, match="version 1 .* reads version 2"):
-            enc.parse_checkpoint(data)
+            parse(data)
 
     @pytest.mark.parametrize("corrupt", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_checkpoint_raises_encoder_error(self, corrupt):
-        data = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), {}, {})
+        data = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), words(8), {})
+        parse(data)  # the corruption, not the rest of the file, is what is refused
         with pytest.raises(EncoderError):
-            enc.parse_checkpoint(corrupt(data))
+            parse(corrupt(data))
+
+    @pytest.mark.parametrize("vocab", [
+        ["a"], {"a": 9}, {"a": "x"}, {},
+        {**words(7)},                     # one id short
+        {**words(8), "extra": 7},         # an id twice
+        {**words(8), "w2": 1, "w1": 2},   # the reserved UNK id
+        {**words(8), "w2": 2.0},          # a float id
+        {**words(8), "w2": True, "w1": 2},
+    ], ids=["list", "id-past-size", "string-id", "empty", "one-short", "repeated",
+            "reserved", "float", "bool"])
+    def test_vocab_that_does_not_fit_the_text_encoder_refused(self, vocab):
+        data = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), vocab, {})
+        with pytest.raises(EncoderError, match="vocab must map words to the ids 2 .. 7"):
+            parse(data)
 
     def test_round_trip_lossless(self, tmp_path):
         tp, sp = enc.init_params(12, seed=9)
         path = tmp_path / "model.ckpt"
-        digest = enc.save_checkpoint(path, tp, sp, {"shaft": 2}, {"seed": 9})
+        digest = enc.save_checkpoint(path, tp, sp, words(12), {"seed": 9})
         ck = enc.load_checkpoint(path)
         assert ck.fingerprint == digest
-        assert ck.vocab_words == {"shaft": 2}
+        assert ck.vocab_words == words(12)
         assert ck.meta == {"seed": 9}
         for a, b in ((tp, ck.text), (sp, ck.shape)):
             assert a.config == b.config
@@ -320,19 +346,42 @@ class TestCheckpoint:
 
     def test_truncated_blob_rejected(self, tmp_path):
         tp, sp = enc.init_params(12, seed=9)
-        data = enc.checkpoint_bytes(tp, sp, {}, {})
+        data = enc.checkpoint_bytes(tp, sp, words(12), {})
         path = tmp_path / "bad.ckpt"
         path.write_bytes(data[:-100])
         with pytest.raises(EncoderError, match="truncated"):
             enc.load_checkpoint(path)
 
+    def test_blob_truncated_in_the_text_buffer_names_the_entry(self):
+        tp, sp = tiny_params(dtype=np.float32)
+        data = enc.checkpoint_bytes(tp, sp, words(8), {})
+        start = data.index(b"\n") + 1
+        embed = tp.arrays["embed"].nbytes
+        with pytest.raises(EncoderError, match="truncated at text.conv1_w$"):
+            parse(data[:start + embed + 4])
+
+    def test_loading_peaks_below_one_and_a_quarter_file_sizes(self, tmp_path):
+        # each buffer is read straight into its array; reading the whole
+        # file first and copying the buffers out peaks at twice its size
+        path = tmp_path / "model.ckpt"
+        enc.save_checkpoint(path, *enc.init_params(200, seed=9), words(200))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            checkpoint = enc.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert checkpoint.fingerprint == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < 1.25 * size, f"peak {peak} bytes for a {size}-byte file"
+
     @pytest.mark.parametrize("extra", [b"\0", b"trailing junk", bytes(4)],
                              ids=["one-byte", "text", "one-float"])
     def test_bytes_after_the_last_parameter_rejected(self, extra):
         tp, sp = enc.init_params(12, seed=9)
-        data = enc.checkpoint_bytes(tp, sp, {}, {})
+        data = enc.checkpoint_bytes(tp, sp, words(12), {})
         with pytest.raises(EncoderError, match=f"{len(extra)} bytes after its last"):
-            enc.parse_checkpoint(data + extra)
+            parse(data + extra)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "other.bin"

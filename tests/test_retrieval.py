@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -21,7 +22,7 @@ def gallery():
     vocab = ds.build_vocabulary(s.text for s in samples)
     tp, sp = enc.init_params(vocab.size, seed=3)
     data = enc.checkpoint_bytes(tp, sp, vocab.word_to_id, {"seed": 3})
-    checkpoint = enc.parse_checkpoint(data)
+    checkpoint = enc.parse_checkpoint(io.BytesIO(data))
     index = rt.build_index(samples, checkpoint)
     return samples, checkpoint, index
 
@@ -259,8 +260,8 @@ class TestQuery:
         other_t, other_s = enc.init_params(checkpoint.text.config.vocab_size, seed=99,
                                            text_config=checkpoint.text.config,
                                            shape_config=checkpoint.shape.config)
-        other = enc.parse_checkpoint(
-            enc.checkpoint_bytes(other_t, other_s, checkpoint.vocab_words, {}))
+        other = enc.parse_checkpoint(io.BytesIO(
+            enc.checkpoint_bytes(other_t, other_s, checkpoint.vocab_words, {})))
         with pytest.raises(RetrievalError, match="different checkpoint"):
             rt.query(samples[0].text, index, other, k=3)
 

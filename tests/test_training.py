@@ -35,6 +35,13 @@ def brute_force_mine(dists, ids, margin):
     return out
 
 
+def hinge(d_ap, d_an, margin):
+    """The trainer's hinge on one (d_ap, d_an) pair: the t2s loss of the two
+    anchors of a symmetric 2 x 2 batch, each with that pair."""
+    d = np.array([[d_ap, d_an], [d_an, d_ap]])
+    return tr.combined_loss_from_distances(d, ["a", "b"], margin, 1.0)[1]
+
+
 def reference_loss_and_gradients(tokens, lengths, grids, ids, tp, sp, config):
     """The trainer's former per-triplet hinge and gradient loops, on the
     brute-force mining: loss and flat gradients of both encoders."""
@@ -58,7 +65,7 @@ def reference_loss_and_gradients(tokens, lengths, grids, ids, tp, sp, config):
             weight = config.mu / n
             anchor, pos, neg = s64[i], t64[i], t64[j]
             g_anchor, g_pos, g_neg = d_s, d_t, d_t
-        sums[direction] += tr.triplet_loss(d_ap, d_an, config.margin)
+        sums[direction] += max(d_ap - d_an + config.margin, 0.0)
         if d_ap - d_an + config.margin <= 0.0:
             continue  # inactive hinge: exact zero gradient
         if d_ap > 0.0:
@@ -97,16 +104,16 @@ class TestPairwiseDistances:
 
 class TestTripletLoss:
     def test_arithmetic(self):
-        assert tr.triplet_loss(0.5, 1.0, 0.2) == 0.0
-        assert tr.triplet_loss(1.0, 0.5, 0.2) == pytest.approx(0.7)
-        assert tr.triplet_loss(0.7, 0.7, 0.15) == pytest.approx(0.15)
+        assert hinge(0.5, 1.0, 0.2) == 0.0
+        assert hinge(1.0, 0.5, 0.2) == pytest.approx(0.7)
+        assert hinge(0.7, 0.7, 0.15) == pytest.approx(0.15)
 
     def test_bounded_by_margin_plus_two(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             d_ap, d_an = rng.uniform(0, 2, 2)
             m = rng.uniform(0.01, 1)
-            assert 0 <= tr.triplet_loss(d_ap, d_an, m) <= m + 2
+            assert 0 <= hinge(d_ap, d_an, m) <= m + 2
 
 
 class TestClassify:
@@ -131,7 +138,7 @@ class TestClassify:
                 assert kind == tr.EASY
             elif d_ap < d_an < d_ap + margin:
                 assert kind == tr.SEMI_HARD
-            loss = tr.triplet_loss(d_ap, d_an, margin)
+            loss = hinge(d_ap, d_an, margin)
             assert (loss == 0) == (kind == tr.EASY)
 
 
@@ -245,8 +252,9 @@ class TestGradients:
         tokens, lengths, grids, ids = self.batch()
         cfg = tr.TrainerConfig(batch_size=2)
         loss, _, _, _ = tr.loss_and_gradients(tokens, lengths, grids, ids, tp, sp, cfg)
-        assert loss == pytest.approx(
-            tr.combined_loss(tokens, lengths, grids, ids, tp, sp, cfg))
+        dists = tr.pairwise_distances(enc.text_forward(tp, tokens, lengths),
+                                      enc.shape_forward(sp, grids))
+        assert loss == tr.combined_loss_from_distances(dists, ids, cfg.margin, cfg.mu)[0]
 
     def test_gradients_match_finite_differences(self):
         # perturbation seed: the first from 21 upward whose batch embeddings
@@ -262,7 +270,7 @@ class TestGradients:
         def total():
             return gc.trainer_loss(tokens, lengths, grids, ids, tp, sp, cfg)
 
-        assert total()[0] == tr.combined_loss(tokens, lengths, grids, ids, tp, sp, cfg)
+        assert total()[0] == loss
         worst, _ = gc.check_gradients(
             [(tp.arrays, tp.views(tg)), (sp.arrays, sp.views(sg))], total, h=1e-5, picks=5)
         assert worst < gc.RTOL
