@@ -373,7 +373,22 @@ class Checkpoint:
 
 
 def _config_from_json(cls, data):
-    return cls(**{k: (tuple(v) if isinstance(v, list) else v) for k, v in data.items()})
+    """A config from its JSON object. Every field is an int or a tuple of
+    ints, which JSON gives as a list; a float or a bool is refused as either,
+    though it would compare equal to an int in every later check."""
+    tuples = {f.name for f in dataclasses.fields(cls) if f.type.startswith("tuple")}
+    values = {}
+    for key, value in data.items():
+        if key in tuples:
+            if not (isinstance(value, list) and all(type(v) is int for v in value)):
+                raise EncoderError(f"checkpoint {cls.__name__}.{key} is {value!r}, "
+                                   "not a list of integers")
+            value = tuple(value)
+        elif type(value) is not int:
+            raise EncoderError(f"checkpoint {cls.__name__}.{key} is {value!r}, "
+                               "not an integer")
+        values[key] = value
+    return cls(**values)
 
 
 def _entries(text_config, shape_config):

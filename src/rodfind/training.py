@@ -145,10 +145,6 @@ def _objective(dists, ids, margin, mu):
     return loss_t2s + mu * loss_s2t, loss_t2s, loss_s2t, triplets, grad
 
 
-def combined_loss_from_distances(dists, ids, margin, mu):
-    return _objective(dists, ids, margin, mu)[:4]
-
-
 def loss_and_gradients(tokens, lengths, grids, ids, text_params, shape_params,
                        config: TrainerConfig):
     """Batch loss plus exact reverse-mode gradients for every parameter, one
@@ -291,9 +287,10 @@ def fit(train_samples: list[Sample], val_samples: list[Sample],
 # retrieval-accuracy evaluation
 
 # Samples per encoder call when embedding a split. From 8 to 128 the time
-# per sample stays at 6-8 ms (one BLAS thread, 2-vCPU VM), but the shape
-# forward's peak memory grows ~6 MB per grid (376 MB at 64); other sizes
-# also round the GEMMs differently in the last bits.
+# per sample stays at 5-7 ms (one BLAS thread, 2-vCPU VM), but the shape
+# forward's peak memory grows 2.65 MB per grid (tracemalloc, float32: 21 MB
+# at 8, 170 MB at 64, 339 MB at 128); other sizes also round the GEMMs
+# differently in the last bits.
 EMBED_CHUNK = 64
 
 

@@ -121,7 +121,6 @@ def trainer_loss(tokens, lengths, grids, ids, tp, sp, config):
     temb, tcache = enc.text_apply(tp, tokens, lengths)
     semb, scache = enc.shape_apply(sp, grids)
     dists = tr.pairwise_distances(temb, semb)
-    total, _, _, triplets = tr.combined_loss_from_distances(
-        dists, ids, config.margin, config.mu)
+    total, _, _, triplets, _ = tr._objective(dists, ids, config.margin, config.mu)
     mined = np.array([(t.negative, t.kind == tr.EASY) for t in triplets])
     return total, text_kinks(tcache) + shape_kinks(scache) + (mined,)

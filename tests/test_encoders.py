@@ -286,6 +286,18 @@ MALFORMED = {
 }
 
 
+# config values that JSON can hold but an int field cannot: each compares
+# equal to the int it stands for in every check after the config is built
+NOT_INTEGER = {
+    "float, table to match": lambda h: (h["text_config"].update(embed_dim=6.0),
+                                        h["params"][0].update(shape=[8.0, 6.0])),
+    "float in the shape config": lambda h: h["shape_config"].update(front_channels=2.0),
+    "float outside the layout": lambda h: h["text_config"].update(max_len=8.0),
+    "bool": lambda h: h["text_config"].update(max_len=True),
+    "float in a tuple": lambda h: h["shape_config"].update(back_channels=[3.0, 4, 5]),
+}
+
+
 class TestCheckpoint:
     def test_golden_bytes(self):
         # they pin the file format and the initializer's draw order; these are
@@ -325,6 +337,12 @@ class TestCheckpoint:
         data = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), vocab, {})
         with pytest.raises(EncoderError, match="vocab must map words to the ids 2 .. 7"):
             parse(data)
+
+    @pytest.mark.parametrize("change", NOT_INTEGER.values(), ids=NOT_INTEGER.keys())
+    def test_config_value_that_is_not_an_integer_refused(self, change):
+        data = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), words(8), {})
+        with pytest.raises(EncoderError, match="not (an integer|a list of integers)"):
+            parse(_edit_header(change)(data))
 
     def test_round_trip_lossless(self, tmp_path):
         tp, sp = enc.init_params(12, seed=9)

@@ -1,4 +1,5 @@
-"""Layer-level checks of `rodfind.nn`: adjoint (dot-product) tests of the
+"""Layer-level checks of `rodfind.nn`: the 3-d convolution's forward against
+a float64 loop over its 27 taps, adjoint (dot-product) tests of the
 convolutions and the per-position layer, the max pool against a per-channel
 loop, the per-position layer against the stride-3 convolution it stands for,
 and the masked GRU against central differences and a per-step loop.
@@ -10,6 +11,8 @@ spoil the identity. Both sides add up the same products x * w * dy in
 different orders, so in float64 they agree to a few eps times the sum of
 the absolute products, which is <conv(|x|, |w|), |dy|>.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +74,73 @@ def test_conv3d_adjoint_covers_unequal_channels_at_every_layout():
         x = rng.standard_normal((2, min_edge + 4, min_edge + 4, min_edge + 4, 3))
         w = rng.standard_normal((5, 3, 3, 3, 3))
         check_conv_adjoint(nn.conv3d_forward, nn.conv3d_backward, x, w, 7, stride, pad)
+
+
+def reference_conv3d(x, w, b, stride, pad):
+    """The convolution as a float64 sum over the 27 taps, one tap per term."""
+    x, w, b = (np.asarray(a, dtype=np.float64) for a in (x, w, b))
+    d = x.shape[1]
+    out = (d + 2 * pad - 3) // stride + 1
+    xp = np.pad(x, [(0, 0)] + [(pad, pad)] * 3 + [(0, 0)])
+    span = stride * (out - 1) + 1
+    y = np.zeros((x.shape[0], out, out, out, w.shape[0])) + b
+    for i, j, k in np.ndindex(3, 3, 3):
+        y += xp[:, i:i + span:stride, j:j + span:stride, k:k + span:stride] @ w[:, :, i, j, k].T
+    return y
+
+
+def check_conv3d_forward(x, w, b, stride, pad, dtype):
+    # both sides add the same products in different orders; the bound is
+    # relative to the sum of their absolute values
+    rtol = {np.float64: 1e-12, np.float32: 1e-5}[dtype]
+    x, w, b = (a.astype(dtype) for a in (x, w, b))
+    y, _ = nn.conv3d_forward(x, w, b, stride, pad)
+    assert y.dtype == dtype
+    want = reference_conv3d(x, w, b, stride, pad)
+    scale = reference_conv3d(np.abs(x), np.abs(w), np.abs(b), stride, pad)
+    assert y.shape == want.shape
+    assert (np.abs(y - want) <= rtol * scale).all()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(layout=st.sampled_from(CONV3D_LAYOUTS), extra=st.integers(0, 5),
+       batch=st.integers(1, 2), cin=st.integers(1, 5), cout=st.integers(1, 5),
+       dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2 ** 16))
+def test_conv3d_forward_matches_the_27_tap_reference(layout, extra, batch, cin, cout,
+                                                      dtype, seed):
+    stride, pad, min_edge = layout
+    rng = np.random.default_rng(seed)
+    d = min_edge + extra
+    check_conv3d_forward(rng.standard_normal((batch, d, d, d, cin)),
+                         rng.standard_normal((cout, cin, 3, 3, 3)),
+                         rng.standard_normal(cout), stride, pad, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv3d_forward_covers_unequal_channels_at_every_layout(dtype):
+    for stride, pad, min_edge in CONV3D_LAYOUTS:
+        for cin, cout in [(2, 5), (5, 1)]:
+            rng = np.random.default_rng(stride * 10 + pad + cin)
+            d = min_edge + 4
+            check_conv3d_forward(rng.standard_normal((2, d, d, d, cin)),
+                                 rng.standard_normal((cout, cin, 3, 3, 3)),
+                                 rng.standard_normal(cout), stride, pad, dtype)
+
+
+def test_stride_1_conv3d_forward_peaks_below_the_27_tap_columns():
+    # the 27 * Cin-wide columns of every output voxel would alone be this big
+    batch, d, cin, cout = 4, 16, 4, 4
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((batch, d, d, d, cin)).astype(np.float32)
+    w = rng.standard_normal((cout, cin, 3, 3, 3)).astype(np.float32)
+    b = np.zeros(cout, np.float32)
+    tracemalloc.start()
+    try:
+        nn.conv3d_forward(x, w, b, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch * d ** 3 * 27 * cin * 4, peak
 
 
 @settings(max_examples=30, deadline=None, database=None)

@@ -39,7 +39,7 @@ def hinge(d_ap, d_an, margin):
     """The trainer's hinge on one (d_ap, d_an) pair: the t2s loss of the two
     anchors of a symmetric 2 x 2 batch, each with that pair."""
     d = np.array([[d_ap, d_an], [d_an, d_ap]])
-    return tr.combined_loss_from_distances(d, ["a", "b"], margin, 1.0)[1]
+    return tr._objective(d, ["a", "b"], margin, 1.0)[1]
 
 
 def reference_loss_and_gradients(tokens, lengths, grids, ids, tp, sp, config):
@@ -207,11 +207,11 @@ class TestCombinedLoss:
         rng = np.random.default_rng(4)
         d = rng.uniform(0, 2, size=(4, 4))
         ids = list("abcd")
-        total1, t2s, s2t, _ = tr.combined_loss_from_distances(d, ids, 0.2, 1.0)
+        total1, t2s, s2t, *_ = tr._objective(d, ids, 0.2, 1.0)
         assert total1 == pytest.approx(t2s + s2t)
-        total0, t2s0, _, _ = tr.combined_loss_from_distances(d, ids, 0.2, 0.0)
+        total0, t2s0, *_ = tr._objective(d, ids, 0.2, 0.0)
         assert total0 == pytest.approx(t2s0) == pytest.approx(t2s)
-        total3, _, s2t3, _ = tr.combined_loss_from_distances(d, ids, 0.2, 3.0)
+        total3, _, s2t3, *_ = tr._objective(d, ids, 0.2, 3.0)
         assert total3 == pytest.approx(t2s + 3.0 * s2t3)
         assert s2t3 == pytest.approx(s2t)
 
@@ -219,23 +219,22 @@ class TestCombinedLoss:
         rng = np.random.default_rng(5)
         d = rng.uniform(0, 2, size=(6, 6))
         ids = [f"s{i}" for i in range(6)]
-        base = tr.combined_loss_from_distances(d, ids, 0.3, 1.0)[0]
+        base = tr._objective(d, ids, 0.3, 1.0)[0]
         perm = rng.permutation(6)
-        shuffled = tr.combined_loss_from_distances(d[np.ix_(perm, perm)],
-                                                   [ids[p] for p in perm], 0.3, 1.0)[0]
+        shuffled = tr._objective(d[np.ix_(perm, perm)], [ids[p] for p in perm], 0.3, 1.0)[0]
         assert shuffled == pytest.approx(base)
 
     def test_transpose_symmetry_at_mu_one(self):
         rng = np.random.default_rng(6)
         d = rng.uniform(0, 2, size=(5, 5))
         ids = [f"s{i}" for i in range(5)]
-        a = tr.combined_loss_from_distances(d, ids, 0.25, 1.0)[0]
-        b = tr.combined_loss_from_distances(d.T, ids, 0.25, 1.0)[0]
+        a = tr._objective(d, ids, 0.25, 1.0)[0]
+        b = tr._objective(d.T, ids, 0.25, 1.0)[0]
         assert a == pytest.approx(b)
 
     def test_all_easy_batch_is_zero(self):
         d = np.array([[0.05, 1.5], [1.6, 0.05]])
-        total, *_ = tr.combined_loss_from_distances(d, ["a", "b"], 0.2, 1.0)
+        total, *_ = tr._objective(d, ["a", "b"], 0.2, 1.0)
         assert total == 0.0
 
 
@@ -254,7 +253,7 @@ class TestGradients:
         loss, _, _, _ = tr.loss_and_gradients(tokens, lengths, grids, ids, tp, sp, cfg)
         dists = tr.pairwise_distances(enc.text_forward(tp, tokens, lengths),
                                       enc.shape_forward(sp, grids))
-        assert loss == tr.combined_loss_from_distances(dists, ids, cfg.margin, cfg.mu)[0]
+        assert loss == tr._objective(dists, ids, cfg.margin, cfg.mu)[0]
 
     def test_gradients_match_finite_differences(self):
         # perturbation seed: the first from 21 upward whose batch embeddings
