@@ -21,8 +21,10 @@ were stored and the random stream of the layers after it is unchanged.
 A shape batch is a (B, 16, 16, 16) occupancy array with B >= 1 (callers
 stack `VoxelGrid.occupancy`); anything else raises EncoderError.
 
-Each apply returns the embeddings and the layer caches its backward
-consumes; each forward returns the embeddings alone.
+Each apply returns the embeddings and a tape, one (name, backward, cache,
+parameter names) entry per layer in the order the forward ran them; a
+backward replays it from the last entry to the first, so the layer order
+is written once. Each forward returns the embeddings alone.
 
 Parameters: each encoder keeps all of its parameters in one contiguous
 buffer (`Params.flat`) with named views into it (`Params.arrays`). The
@@ -36,6 +38,7 @@ stay valid.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -205,6 +208,45 @@ def init_params(vocab_size: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
+# the tape
+
+def _recorder(arrays):
+    """A tape and its `step(name, forward, backward, *inputs, params=())`,
+    which returns y of forward(*inputs, *the named parameters) -> (y, cache)
+    and records (name, backward, cache, params). The applies look `nn`'s
+    functions up as they run, so a tape holds what `nn` held then."""
+    tape = []
+
+    def step(name, forward, backward, *inputs, params=()):
+        y, cache = forward(*inputs, *(arrays[p] for p in params))
+        tape.append((name, backward, cache, params))
+        return y
+
+    return tape, step
+
+
+def replay(params: Params, tape, d_emb) -> np.ndarray:
+    """Gradient of every parameter, in a buffer laid out like `params.flat`:
+    an apply's tape run backwards from `d_emb`. A step with parameters
+    returns (dx, *their grads), one without returns dx."""
+    grad = np.empty_like(params.flat)
+    g = params.views(grad)
+    dy = d_emb
+    for _, backward, cache, names in reversed(tape):
+        if names:
+            dy, *grads = backward(cache, dy)
+            for name, value in zip(names, grads):
+                g[name][...] = value
+        else:
+            dy = backward(cache, dy)
+    return grad
+
+
+# one name per encoder, for its callers and for tracers to wrap apart
+text_backward = shape_backward = replay
+
+
+# ---------------------------------------------------------------------------
 # text pipeline
 
 def _token_matrix(tokens, lengths, config):
@@ -233,55 +275,29 @@ def _token_matrix(tokens, lengths, config):
 
 
 def text_apply(params: Params, tokens, lengths):
-    """(embeddings, caches) of a token batch."""
+    """(embeddings, tape) of a token batch."""
     ids, lengths = _token_matrix(tokens, lengths, params.config)
-    a = params.arrays
-    caches = []
-    x, c = nn.embedding_forward(ids, lengths, a["embed"])
-    caches.append(("embed", c))
-    for i in range(len(params.config.conv_channels)):
-        x, c = nn.conv1d_forward(x, a[f"conv{i + 1}_w"], a[f"conv{i + 1}_b"])
-        caches.append((f"conv{i}", c))
-        x, c = nn.relu_forward(x)
-        caches.append((f"relu{i}", c))
-    h, c = nn.gru_forward(x, lengths, a["gru_w_ih"], a["gru_w_hh"],
-                          a["gru_b_ih"], a["gru_b_hh"])
-    caches.append(("gru", c))
-    y, c = nn.linear_forward(h, a["fc1_w"], a["fc1_b"])
-    caches.append(("fc1", c))
-    y, c = nn.relu_forward(y)
-    caches.append(("fc1_relu", c))
-    y, c = nn.linear_forward(y, a["fc2_w"], a["fc2_b"])
-    caches.append(("fc2", c))
-    y, c = nn.l2_normalize_forward(y)
-    caches.append(("norm", c))
+    tape, step = _recorder(params.arrays)
+    x = step("embed", nn.embedding_forward, nn.embedding_backward, ids, lengths,
+             params=("embed",))
+    for i in range(1, len(params.config.conv_channels) + 1):
+        x = step(f"conv{i}", nn.conv1d_forward, nn.conv1d_backward, x,
+                 params=(f"conv{i}_w", f"conv{i}_b"))
+        x = step(f"relu{i}", nn.relu_forward, nn.relu_backward, x)
+    x = step("gru", nn.gru_forward, nn.gru_backward, x, lengths,
+             params=("gru_w_ih", "gru_w_hh", "gru_b_ih", "gru_b_hh"))
+    x = step("fc1", nn.linear_forward, nn.linear_backward, x, params=("fc1_w", "fc1_b"))
+    x = step("fc1_relu", nn.relu_forward, nn.relu_backward, x)
+    x = step("fc2", nn.linear_forward, nn.linear_backward, x, params=("fc2_w", "fc2_b"))
+    y = step("norm", nn.l2_normalize_forward, nn.l2_normalize_backward, x)
     if not np.isfinite(y).all():
         raise EncoderError("text encoder produced a non-finite embedding")
-    return y, caches
+    return y, tape
 
 
 def text_forward(params: Params, tokens, lengths) -> np.ndarray:
     """Embed a token batch; rows are unit norm."""
     return text_apply(params, tokens, lengths)[0]
-
-
-def text_backward(params: Params, caches, d_emb) -> np.ndarray:
-    """Gradient of every parameter, in a buffer laid out like `params.flat`."""
-    grad = np.empty_like(params.flat)
-    g = params.views(grad)
-    stack = list(caches)
-    dy = nn.l2_normalize_backward(stack.pop()[1], d_emb)
-    dy, g["fc2_w"][...], g["fc2_b"][...] = nn.linear_backward(stack.pop()[1], dy)
-    dy = nn.relu_backward(stack.pop()[1], dy)
-    dy, g["fc1_w"][...], g["fc1_b"][...] = nn.linear_backward(stack.pop()[1], dy)
-    (dy, g["gru_w_ih"][...], g["gru_w_hh"][...],
-     g["gru_b_ih"][...], g["gru_b_hh"][...]) = nn.gru_backward(stack.pop()[1], dy)
-    for i in range(len(params.config.conv_channels), 0, -1):
-        dy = nn.relu_backward(stack.pop()[1], dy)
-        dy, g[f"conv{i}_w"][...], g[f"conv{i}_b"][...] = nn.conv1d_backward(
-            stack.pop()[1], dy)
-    g["embed"][...] = nn.embedding_backward(stack.pop()[1], dy)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -299,58 +315,33 @@ def _grid_batch(grids, config, dtype):
 
 
 def shape_apply(params: Params, grids):
-    """(embeddings, caches) of a (B, 16, 16, 16) occupancy batch."""
+    """(embeddings, tape) of a (B, 16, 16, 16) occupancy batch."""
     x = _grid_batch(grids, params.config, params.flat.dtype)
-    a = params.arrays
-    caches = []
+    tape, step = _recorder(params.arrays)
     plan = params.config.layer_plan()
-    for i, (_, _, stride, pad) in enumerate(plan):
-        w, b = a[f"conv{i + 1}_w"], a[f"conv{i + 1}_b"]
-        if i + 1 < len(plan):
-            x, c = nn.conv3d_forward(x, w, b, stride, pad)
+    for i, (_, _, stride, pad) in enumerate(plan, start=1):
+        names = (f"conv{i}_w", f"conv{i}_b")
+        if i == len(plan):
+            x = step(f"conv{i}", nn.position_linear_forward, nn.position_linear_backward,
+                     x, params=names)
         else:
-            x, c = nn.position_linear_forward(x, w, b)
-        caches.append((f"conv{i}", c))
-        x, c = nn.relu_forward(x)
-        caches.append((f"relu{i}", c))
-    x, c = nn.maxpool3d_forward(x)
-    caches.append(("pool", c))
-    flat = x.reshape(x.shape[0], -1)
-    caches.append(("flatten", x.shape))
-    y, c = nn.linear_forward(flat, a["fc_w"], a["fc_b"])
-    caches.append(("fc", c))
-    y, c = nn.l2_normalize_forward(y)
-    caches.append(("norm", c))
+            # the first layer's input is the grid: no gradient to pass on
+            backward = (nn.conv3d_backward if i > 1
+                        else functools.partial(nn.conv3d_backward, input_grad=False))
+            x = step(f"conv{i}", lambda x, w, b: nn.conv3d_forward(x, w, b, stride, pad),
+                     backward, x, params=names)
+        x = step(f"relu{i}", nn.relu_forward, nn.relu_backward, x)
+    x = step("pool", nn.maxpool3d_forward, nn.maxpool3d_backward, x)
+    x = step("fc", nn.linear_forward, nn.linear_backward, x, params=("fc_w", "fc_b"))
+    y = step("norm", nn.l2_normalize_forward, nn.l2_normalize_backward, x)
     if not np.isfinite(y).all():
         raise EncoderError("shape encoder produced a non-finite embedding")
-    return y, caches
+    return y, tape
 
 
 def shape_forward(params: Params, grids) -> np.ndarray:
     """Embed a (B, 16, 16, 16) occupancy batch; rows are unit norm."""
     return shape_apply(params, grids)[0]
-
-
-def shape_backward(params: Params, caches, d_emb) -> np.ndarray:
-    """Gradient of every parameter, in a buffer laid out like `params.flat`."""
-    grad = np.empty_like(params.flat)
-    g = params.views(grad)
-    stack = list(caches)
-    dy = nn.l2_normalize_backward(stack.pop()[1], d_emb)
-    dy, g["fc_w"][...], g["fc_b"][...] = nn.linear_backward(stack.pop()[1], dy)
-    dy = dy.reshape(stack.pop()[1])
-    dy = nn.maxpool3d_backward(stack.pop()[1], dy)
-    last = params.config.num_conv_layers
-    for i in range(last, 0, -1):
-        dy = nn.relu_backward(stack.pop()[1], dy)
-        cache = stack.pop()[1]
-        if i == last:
-            grads = nn.position_linear_backward(cache, dy)
-        else:
-            # the first layer's input is the grid: no gradient to pass on
-            grads = nn.conv3d_backward(cache, dy, input_grad=i > 1)
-        dy, g[f"conv{i}_w"][...], g[f"conv{i}_b"][...] = grads
-    return grad
 
 
 # ---------------------------------------------------------------------------

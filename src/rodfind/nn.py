@@ -26,19 +26,22 @@ once, leaving the loop a handful of calls. The sigmoid is
 at most 6e-8 in float32 and 2.2e-16 in float64 (absolute; relative
 accuracy is lost only where a gate is below ~1e-7).
 
-The 3-d convolution has one path per stride. Stride 1 (at pad 1) lowers
-its input to plane columns, the 3x3 in-plane windows of every padded plane:
-9 * Cin wide, (D + 2) / D * 9 / 27 the size of the 27 * Cin-wide columns
-(0.375 at D = 16). One GEMM per kernel plane maps them all, and each output
-plane adds three of the products (MEC, Cho & Brand, arXiv:1706.06873). Its
-weight gradient is one batched GEMM per kernel plane over the same columns;
-its input gradient is the same plane-column convolution of dy with the
-kernel flipped in space and transposed in channels. Every other stride
-takes the 27 * Cin-wide im2col; the encoder's stride-3 windows do not
-overlap, so that backward places each column gradient in a block of its
-own. Against a float64 loop over the 27 taps, a float32 forward is within
-1e-5 of the sum of the absolute products; only the order of the sums
-differs.
+The 3-d convolution takes two layouts, one path each: stride 1 at pad 1,
+and stride 3 at any pad. The forward raises ValueError for any other, which
+the backward could not differentiate. Stride 1 lowers its input to plane
+columns, the 3x3 in-plane windows of every padded plane: 9 * Cin wide,
+(D + 2) / D * 9 / 27 the size of the 27 * Cin-wide columns (0.375 at
+D = 16). One GEMM per kernel plane maps them all, and each output plane
+adds three of the products (MEC, Cho & Brand, arXiv:1706.06873). Its weight
+gradient is one batched GEMM per kernel plane over the same columns; its
+input gradient is the same plane-column convolution of dy with the kernel
+flipped in space and transposed in channels. Stride-3 windows of a
+kernel-3 convolution tile the padded grid without overlap, so their
+27 * Cin-wide columns are a block reshape of it, which copies no padded
+row that no window reads; the backward places each column gradient in a
+block of its own. Against a float64 loop over the 27 taps, a float32
+forward is within 1e-5 of the sum of the absolute products; only the order
+of the sums differs.
 
 Layers that only move values index by reshaping, not by looping over
 window offsets: stride-3 windows of a kernel-3 convolution do not overlap,
@@ -70,7 +73,7 @@ def embedding_backward(cache, d_out):
     d_out = d_out * mask[:, :, None]
     d_table = np.zeros(shape, dtype=d_out.dtype)
     np.add.at(d_table, ids.ravel(), d_out.reshape(-1, shape[1]))
-    return d_table
+    return None, d_table  # the ids are data: no gradient to pass on
 
 
 # ---------------------------------------------------------------------------
@@ -126,45 +129,51 @@ def _plane_conv3d(x, w3):
     return y.reshape(B, D, D, D, -1), cols
 
 
-def _im2col3d(x, stride, pad):
-    """Columns of every 3x3x3 window of x: (B * out^3, 27 * Cin), window
-    offsets outermost, then channels; also returns out."""
+def _blocks(x, pad):
+    """Columns of every stride-3 window of x padded by `pad`, (B * out^3,
+    27 * Cin), window offsets outermost, then channels; also returns out.
+    They reshape [0, 3 * out) of the padded grid, which the windows tile."""
     B, D, cin = x.shape[0], x.shape[1], x.shape[4]
-    out = (D + 2 * pad - 3) // stride + 1
-    xp = np.zeros((B, D + 2 * pad, D + 2 * pad, D + 2 * pad, cin), dtype=x.dtype)
-    xp[:, pad:pad + D, pad:pad + D, pad:pad + D] = x
-    windows = sliding_window_view(xp, (3, 3, 3), axis=(1, 2, 3))[
-        :, ::stride, ::stride, ::stride]  # (B, out, out, out, Cin, 3, 3, 3)
-    return windows.transpose(0, 1, 2, 3, 5, 6, 7, 4).reshape(B * out ** 3, 27 * cin), out
+    out = (D + 2 * pad - 3) // 3 + 1
+    span, keep = 3 * out, min(D, 3 * out - pad)
+    xp = np.zeros((B, span, span, span, cin), dtype=x.dtype)
+    xp[:, pad:pad + keep, pad:pad + keep, pad:pad + keep] = x[:, :keep, :keep, :keep]
+    blocks = xp.reshape(B, out, 3, out, 3, out, 3, cin).transpose(0, 1, 3, 5, 2, 4, 6, 7)
+    return blocks.reshape(B * out ** 3, 27 * cin), out
 
 
 def conv3d_forward(x, w, b, stride, pad):
-    """x: (B, D, D, D, Cin); w: (Cout, Cin, 3, 3, 3). The columns are
-    cache[0] and the stride cache[4]."""
-    B, cin, cout = x.shape[0], x.shape[4], w.shape[0]
+    """x: (B, D, D, D, Cin); w: (Cout, Cin, 3, 3, 3); stride 1 at pad 1, or
+    stride 3 at any pad. The cache is (columns, the (27 * Cin, Cout)
+    weights, x's shape, pad, stride)."""
+    cin, cout = x.shape[4], w.shape[0]
     if stride == 1 and pad == 1:
         w3 = w.transpose(2, 3, 4, 1, 0).reshape(3, 9 * cin, cout)
         y, cols = _plane_conv3d(x, w3)
         y += b
-        return y, (cols, w3, x.shape, w.shape, stride, pad, x.shape[1])
-    cols, out = _im2col3d(x, stride, pad)
+        return y, (cols, w3.reshape(27 * cin, cout), x.shape, pad, stride)
+    if stride != 3 or x.shape[1] + 2 * pad < 3:
+        raise ValueError(f"conv3d handles stride 1 at pad 1 and stride 3 over a padded "
+                         f"edge of at least 3, not stride {stride} at pad {pad} over "
+                         f"edge {x.shape[1]}")
+    cols, out = _blocks(x, pad)
     # (27 * Cin, Cout) as the transpose of a copy that keeps Cout outermost,
     # which moves memory in far longer runs than copying to this layout
     wmat = w.transpose(0, 2, 3, 4, 1).reshape(cout, 27 * cin).T
-    y = (cols @ wmat + b).reshape(B, out, out, out, cout)
-    return y, (cols, wmat, x.shape, w.shape, stride, pad, out)
+    y = (cols @ wmat + b).reshape(x.shape[0], out, out, out, cout)
+    return y, (cols, wmat, x.shape, pad, stride)
 
 
 def conv3d_backward(cache, dy, input_grad=True):
     """(dx, dw, db); dx is None without `input_grad`, for a layer whose
     input is data."""
-    cols, wmat, x_shape, w_shape, stride, pad, out = cache
-    B, D = x_shape[0], x_shape[1]
-    cin, cout = x_shape[4], w_shape[0]
+    cols, wmat, x_shape, pad, stride = cache
+    B, D, cin = x_shape[0], x_shape[1], x_shape[4]
+    cout = wmat.shape[1]
     dy2 = dy.reshape(-1, cout)
     # a GEMV: numpy's column sum over a few channels is ~25x slower
     db = np.ones(len(dy2), dy.dtype) @ dy2
-    if stride == 1 and pad == 1:
+    if stride == 1:
         # kernel plane a saw padded planes a .. a + D - 1 of every sample
         plane = D * D
         sample_cols = cols.reshape(B, (D + 2) * plane, 9 * cin)
@@ -179,20 +188,17 @@ def conv3d_backward(cache, dy, input_grad=True):
         wflip = wmat.reshape(3, 3, 3, cin, cout)[::-1, ::-1, ::-1].transpose(
             0, 1, 2, 4, 3).reshape(3, 9 * cout, cin)
         return _plane_conv3d(dy, wflip)[0], dw, db
-    dw = (dy2.T @ cols).reshape(cout, 27, cin).transpose(0, 2, 1).reshape(w_shape)
+    dw = (dy2.T @ cols).reshape(cout, 27, cin).swapaxes(1, 2).reshape(cout, cin, 3, 3, 3)
     if not input_grad:
         return None, dw, db
-    if stride != 3:
-        raise ValueError(f"conv3d_backward handles stride 1 at pad 1 and stride 3, "
-                         f"not stride {stride} at pad {pad}")
-    # kernel-3, stride-3 windows tile [0, 3 * out) of the padded grid without
-    # overlap, so each window's column gradient lands in its own 3x3x3 block
-    dcols = (dy2 @ wmat.T).reshape(B, out, out, out, 3, 3, 3, cin)
-    dxp = np.zeros((B, D + 2 * pad, D + 2 * pad, D + 2 * pad, cin), dtype=dy.dtype)
-    span = 3 * out
-    dxp[:, :span, :span, :span] = dcols.transpose(0, 1, 4, 2, 5, 3, 6, 7).reshape(
-        B, span, span, span, cin)
-    return dxp[:, pad:pad + D, pad:pad + D, pad:pad + D], dw, db
+    # each window's column gradient fills its own 3x3x3 block, as in _blocks
+    out = dy.shape[1]
+    span, keep = 3 * out, min(D, 3 * out - pad)
+    dxp = (dy2 @ wmat.T).reshape(B, out, out, out, 3, 3, 3, cin).transpose(
+        0, 1, 4, 2, 5, 3, 6, 7).reshape(B, span, span, span, cin)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    dx[:, :keep, :keep, :keep] = dxp[:, pad:pad + keep, pad:pad + keep, pad:pad + keep]
+    return dx, dw, db
 
 
 def position_linear_forward(x, w, b):
@@ -226,14 +232,14 @@ def relu_backward(mask, dy):
 
 def maxpool3d_forward(x):
     """2x2x2 max pooling of the (B, 2, 2, 2, C) map that ends the shape
-    encoder's convolutions: the max over its eight positions, as a
-    (B, 1, 1, 1, C) map. Ties go to the first position in C order; the
-    winners' indices are cache[0]."""
+    encoder's convolutions: the max over its eight positions, as (B, C).
+    Ties go to the first position in C order; the winners' indices are
+    cache[0]."""
     B, C = x.shape[0], x.shape[4]
     flat = x.reshape(B, 8, C)
     best = flat.argmax(axis=1)[:, None]
     y = np.take_along_axis(flat, best, axis=1)
-    return y.reshape(B, 1, 1, 1, C), (best, x.shape)
+    return y.reshape(B, C), (best, x.shape)
 
 
 def maxpool3d_backward(cache, dy):

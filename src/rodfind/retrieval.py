@@ -149,13 +149,13 @@ def _parse_header(line: bytes, path) -> dict:
                              "expected '<f4'")
     for key, kind in _HEADER_TYPES.items():
         value = header.get(key)
-        if not isinstance(value, kind) or (
+        if not isinstance(value, kind) or isinstance(value, bool) or (
                 kind is list and not all(isinstance(v, str) for v in value)):
             raise RetrievalError(f"{path}: index header field {key!r} is missing "
                                  f"or not a {kind.__name__}")
-    if header["dim"] < 1:
-        raise RetrievalError(f"{path}: embedding width dim={header['dim']} "
-                             "must be positive")
+        if kind is int and value < 1:
+            raise RetrievalError(f"{path}: index header field {key}={value} "
+                                 "must be positive")
     return header
 
 

@@ -105,12 +105,12 @@ def check_gradients(params_and_grads, evaluate, h: float, picks: int | None = No
 # ---------------------------------------------------------------------------
 # kink signatures of the encoders and the trainer's loss
 
-def text_kinks(caches):
-    return tuple(c for name, c in caches if "relu" in name)
+def text_kinks(tape):
+    return tuple(cache for name, _, cache, _ in tape if "relu" in name)
 
 
-def shape_kinks(caches):
-    return tuple(c if name != "pool" else c[0] for name, c in caches
+def shape_kinks(tape):
+    return tuple(cache if name != "pool" else cache[0] for name, _, cache, _ in tape
                  if "relu" in name or name == "pool")
 
 

@@ -253,6 +253,32 @@ class TestBackward:
         assert worst < gc.RTOL
 
 
+def tape_names(tape):
+    """The parameter names of every tape entry, in tape order."""
+    return [name for _, _, _, names in tape for name in names]
+
+
+def layout_names(config):
+    return [name for name, _, _ in config.layout()]
+
+
+class TestTape:
+    # the replay writes into np.empty_like, so a parameter the tape does not
+    # name would get uninitialised memory for its gradient
+    def test_text_tape_names_every_parameter_once(self):
+        tp, _ = tiny_params()
+        _, tape = enc.text_apply(tp, np.array([[2, 3, 4, 5]]), np.array([3]))
+        assert sorted(tape_names(tape)) == sorted(layout_names(tp.config))
+
+    @pytest.mark.parametrize("layers", range(3, 8))
+    def test_shape_tape_names_every_parameter_once(self, layers):
+        config = enc.ShapeEncoderConfig(**{**TINY_SHAPE, "num_conv_layers": layers})
+        _, sp = enc.init_params(8, 0, enc.TextEncoderConfig(vocab_size=8, **TINY_TEXT),
+                                config)
+        _, tape = enc.shape_apply(sp, np.ones((1, 16, 16, 16)))
+        assert sorted(tape_names(tape)) == sorted(layout_names(config))
+
+
 def words(vocab_size):
     """A vocabulary that fits a text encoder of `vocab_size`: ids 2 .. size - 1."""
     return {f"w{i}": i for i in range(2, vocab_size)}

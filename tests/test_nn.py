@@ -49,9 +49,10 @@ def check_conv_adjoint(forward, backward, x, w, dy_seed, *args, cout_axis=0):
     assert_adjoint(float((y_b * dy).sum()), float(b @ db), float(np.abs(y_b * dy).sum()))
 
 
-# (stride, pad) pairs the shape encoder uses, with the smallest edge that
-# leaves at least one output position
-CONV3D_LAYOUTS = [(1, 1, 1), (3, 1, 1), (3, 2, 1)]
+# (stride, pad) pairs the shape encoder uses, and stride 3 at pad 0, which
+# tiles a multiple of 3 exactly; each with the smallest edge that leaves at
+# least one output position
+CONV3D_LAYOUTS = [(1, 1, 1), (3, 1, 1), (3, 2, 1), (3, 0, 3)]
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -166,11 +167,13 @@ def test_conv3d_backward_without_input_grad_gives_the_same_weight_grads():
         assert np.array_equal(dw, dw_only) and np.array_equal(db, db_only)
 
 
-def test_conv3d_backward_refuses_a_stride_it_does_not_handle():
-    x = np.zeros((1, 4, 4, 4, 1))
-    _, cache = nn.conv3d_forward(x, np.zeros((1, 1, 3, 3, 3)), np.zeros(1), 2, 1)
-    with pytest.raises(ValueError, match="stride 2"):
-        nn.conv3d_backward(cache, np.zeros((1, 2, 2, 2, 1)))
+def test_conv3d_forward_refuses_a_stride_it_does_not_handle():
+    # the layouts the backward cannot differentiate: any stride but 1 and 3,
+    # stride 1 at any pad but 1, and a padded edge holding no window
+    for stride, pad, edge in [(2, 1, 4), (1, 0, 4), (1, 2, 4), (3, 0, 2)]:
+        x = np.zeros((1, edge, edge, edge, 1))
+        with pytest.raises(ValueError, match=f"not stride {stride} at pad {pad}"):
+            nn.conv3d_forward(x, np.zeros((1, 1, 3, 3, 3)), np.zeros(1), stride, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ def reference_maxpool3d(x, dy):
     """Per (b, c): the first maximum over the 2x2x2 offsets in C order, its
     offset, and the input gradient that routes dy to it alone."""
     B, C = x.shape[0], x.shape[4]
-    y = np.zeros((B, 1, 1, 1, C), dtype=x.dtype)
+    y = np.zeros((B, C), dtype=x.dtype)
     best = np.zeros((B, C), dtype=np.int64)
     dx = np.zeros_like(x)
     offsets = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
@@ -237,9 +240,9 @@ def reference_maxpool3d(x, dy):
         for c in range(C):
             values = [x[b, i, j, k, c] for i, j, k in offsets]
             winner = values.index(max(values))
-            y[b, 0, 0, 0, c] = values[winner]
+            y[b, c] = values[winner]
             best[b, c] = winner
-            dx[(b, *offsets[winner], c)] = dy[b, 0, 0, 0, c]
+            dx[(b, *offsets[winner], c)] = dy[b, c]
     return y, best, dx
 
 
@@ -249,7 +252,7 @@ def test_maxpool3d_matches_the_per_channel_reference_under_ties(dtype):
     for _ in range(20):
         # three levels over eight positions: most channels tie at the max
         x = rng.integers(-1, 2, size=(3, 2, 2, 2, 5)).astype(dtype)
-        dy = rng.standard_normal((3, 1, 1, 1, 5)).astype(dtype)
+        dy = rng.standard_normal((3, 5)).astype(dtype)
         want_y, want_best, want_dx = reference_maxpool3d(x, dy)
         y, cache = nn.maxpool3d_forward(x)
         assert y.dtype == dtype and np.array_equal(y, want_y)

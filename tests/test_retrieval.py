@@ -158,6 +158,24 @@ class TestIndexIO:
         with pytest.raises(RetrievalError, match="must be positive"):
             rt.load_index(path)
 
+    @pytest.mark.parametrize("key, value", [("dim", True), ("resolution", True),
+                                            ("resolution", False), ("resolution", 0),
+                                            ("resolution", -3)])
+    def test_bool_or_nonpositive_integer_field_rejected(self, gallery, tmp_path, key,
+                                                        value):
+        # a bool is an int to isinstance, and compares like 0 or 1; the blob
+        # holds as many bytes as the edited header claims, so only the field
+        # check can catch it
+        _, _, index = gallery
+        path = tmp_path / "gallery.idx"
+        rt.save_index(index, path)
+        head, blob = path.read_bytes().split(b"\n", 1)
+        head = {**json.loads(head), key: value}
+        blob = blob[:len(head["ids"]) * int(head["dim"]) * 4]
+        path.write_bytes(json.dumps(head).encode() + b"\n" + blob)
+        with pytest.raises(RetrievalError, match=key):
+            rt.load_index(path)
+
     @pytest.mark.parametrize("edit", [
         lambda h: b"\xff" + json.dumps(h).encode(),
         lambda h: json.dumps(h).encode()[:-1],
