@@ -182,11 +182,10 @@ def _cmd_gen_dataset(args) -> int:
     from . import dataset as ds
 
     out = _data_root(args.out)
-    grids_dir = out / "grids"
-    grids_dir.mkdir(parents=True, exist_ok=True)
     samples = ds.generate_variants(bases=args.bases, per_base=args.per_base,
                                    total=args.total, seed=args.seed,
                                    resolution=args.resolution)
+    (out / "grids").mkdir(parents=True, exist_ok=True)
     train, val = ds.split_samples(samples, args.val_fraction, seed=args.seed)
     val_ids = {s.id for s in val}
 
@@ -288,7 +287,7 @@ def _cmd_tune(args) -> int:
     if not val_samples:
         raise ValueError(f"{args.manifest}: tuning needs a val split")
 
-    def objective(assignment):
+    def configs(assignment):
         settings = dict(_TRAIN_DEFAULTS)
         for name, value in assignment.items():
             key = _FACTOR_ALIASES.get(name.lower())
@@ -296,12 +295,16 @@ def _cmd_tune(args) -> int:
                 raise ValueError(f"design factor {name!r} is not tunable")
             settings[key] = value
         layers = int(settings.pop("layers"))
-        config = tr.TrainerConfig(seed=args.seed, **settings)
-        result = tr.fit(train_samples, val_samples, config,
-                        shape_config=enc.ShapeEncoderConfig(num_conv_layers=layers))
+        return (tr.TrainerConfig(seed=args.seed, **settings),
+                enc.ShapeEncoderConfig(num_conv_layers=layers))
+
+    def objective(assignment):
+        result = tr.fit(train_samples, val_samples, *configs(assignment))
         # fit's last epoch already measured val recall@1 with the final params
         return 100.0 * result.log[-1].val_recall1
 
+    # every row's configs are built first, so a bad level stops the run before any row trains
+    doe.map_rows(design, configs)
     report = doe.run_tuning(design, objective)
     csv_text = report.to_csv()
     Path(args.out).write_text(csv_text, encoding="utf-8")

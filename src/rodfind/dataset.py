@@ -429,6 +429,9 @@ def generate_variants(bases=15, per_base=None, total=None, seed: int = 0,
         bases = base_structures(bases)
     if total is not None and per_base is not None:
         raise DatasetError("pass either per_base or total, not both")
+    for name, value in (("per_base", per_base), ("total", total)):
+        if value is not None and int(value) < 1:
+            raise DatasetError(f"{name} must be at least 1, got {value}")
     if total is not None:
         counts = _distribute(int(total), len(bases))
     else:

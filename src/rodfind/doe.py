@@ -2,7 +2,8 @@
 analysis, one-way balanced ANOVA with F-distribution p-values, and
 `run_tuning`, which runs each design row once through an objective and
 stops at the first row that fails, since every later row's response would
-be discarded with the analysis."""
+be discarded with the analysis; `map_rows` lets a caller check every row
+the same way before any row runs."""
 
 from __future__ import annotations
 
@@ -283,24 +284,35 @@ class TuningReport:
         return buf.getvalue()
 
 
-def run_tuning(design: DesignMatrix, objective) -> TuningReport:
-    """Execute every design row once through `objective(config) -> response`,
-    then analyze. The first row whose objective raises or returns a
-    non-finite response stops the run: no later row is run, and a
-    DesignError naming the row and its assignment is raised from the
-    failure. The recommended best-level combination may be a cell the
-    design never ran (flagged accordingly)."""
-    runs = []
+def map_rows(design: DesignMatrix, fn) -> list:
+    """`fn(assignment)` for every row, in row order. The first row whose
+    call raises stops the run: no later row is called, and a DesignError
+    naming the row and its assignment is raised from the failure."""
+    results = []
     for r in range(len(design.rows)):
         assignment = design.assignment(r)
         try:
-            response = float(objective(assignment))
-            if not math.isfinite(response):
-                raise ValueError(f"response {response} is not finite")
+            results.append(fn(assignment))
         except Exception as exc:
             raise DesignError(f"objective failed on row {r + 1} ({assignment}): "
                               f"{exc}") from exc
-        runs.append(TuningRun(r + 1, assignment, response))
+    return results
+
+
+def run_tuning(design: DesignMatrix, objective) -> TuningReport:
+    """Execute every design row once through `objective(config) -> response`
+    (`map_rows`, so the first row whose objective raises or returns a
+    non-finite response stops the run), then analyze. The recommended
+    best-level combination may be a cell the design never ran (flagged
+    accordingly)."""
+    def response(assignment):
+        value = float(objective(assignment))
+        if not math.isfinite(value):
+            raise ValueError(f"response {value} is not finite")
+        return value
+
+    runs = [TuningRun(r + 1, design.assignment(r), value)
+            for r, value in enumerate(map_rows(design, response))]
 
     responses = [run.response for run in runs]
     ranges = range_analysis(design, responses)

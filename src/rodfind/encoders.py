@@ -8,13 +8,15 @@ EncoderError.
 
 Shape: seven 3-d convolutions (four shape-preserving at 4 channels, then a
 stride-3 stack at 64/128/256 channels), max pool, dense layer, L2
-normalization. The stride-3 paddings (1, 1, 2) land the 16^3 input on 2^3
-at every depth, so the pool is the max over the eight positions of that
-final 2^3 map. The last convolution's input is already 2^3: padded by 2,
-each of its stride-3 windows holds one input voxel, at the same position
-as the window's output, seen through one tap (tap 2 - 2i on an axis where
-the position is i). Its other 19 taps only ever multiply padding, so the
-layer stores just the live ones, as eight per-position Cin -> Cout maps
+normalization. Each stride-3 layer pads its input edge D by D % 3, the
+least pad whose windows tile the padded grid, so every voxel of the input
+sits in one window. From the 16^3 grid the pads are (1, 0, 2) at every
+depth, landing on 2^3, and the pool is the max over its eight positions.
+The last convolution's input is already 2^3: padded by 2, each of its
+stride-3 windows holds one input voxel, at the same position as the
+window's output, seen through one tap (tap 2 - 2i on an axis where the
+position is i). Its other 19 taps only ever multiply padding, so the layer
+stores just the live ones, as eight per-position Cin -> Cout maps
 (`live_taps`). The initializer still draws that layer's full 3x3x3 kernel
 and keeps the live taps, so every weight starts where it did when all 27
 were stored and the random stream of the layers after it is unchanged.
@@ -85,39 +87,38 @@ class TextEncoderConfig:
         return items
 
 
+GRID_EDGE = 16  # the shape encoder reads GRID_EDGE^3 occupancy grids
+
+
 @dataclass(frozen=True)
 class ShapeEncoderConfig:
-    resolution: int = 16
     num_conv_layers: int = 7
     front_channels: int = 4
     back_channels: tuple[int, int, int] = (64, 128, 256)
     out_dim: int = 128
 
-    _BACK_PADS = (1, 1, 2)
-
     def __post_init__(self):
         if not 3 <= self.num_conv_layers <= 7:
             raise EncoderError("num_conv_layers must be between 3 and 7")
-        if self.resolution != 16:
-            raise EncoderError("the shape encoder is laid out for 16^3 grids")
         if len(self.back_channels) != 3:
             raise EncoderError("the stride-3 stack has exactly three layers")
 
     def layer_plan(self):
-        """(in_channels, out_channels, stride, pad) per convolution layer."""
-        plan = []
-        channels = 1
+        """(in_channels, out_channels, stride, pad) per convolution layer; a
+        stride-3 layer pads its input edge D by D % 3."""
+        plan, channels, edge = [], 1, GRID_EDGE
         for _ in range(self.num_conv_layers - 3):
             plan.append((channels, self.front_channels, 1, 1))
             channels = self.front_channels
-        for out_channels, pad in zip(self.back_channels, self._BACK_PADS):
+        for out_channels in self.back_channels:
+            pad = edge % 3
             plan.append((channels, out_channels, 3, pad))
-            channels = out_channels
+            channels, edge = out_channels, (edge + 2 * pad) // 3
         return plan
 
     def spatial_trace(self):
         """Cube edge length after each convolution, then after the pool."""
-        size = self.resolution
+        size = GRID_EDGE
         sizes = []
         for _, _, stride, pad in self.layer_plan():
             size = (size + 2 * pad - 3) // stride + 1
@@ -303,20 +304,19 @@ def text_forward(params: Params, tokens, lengths) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # shape pipeline
 
-def _grid_batch(grids, config, dtype):
+def _grid_batch(grids, dtype):
     batch = np.asarray(grids)
     if batch.size == 0:
         raise EncoderError("shape batch is empty")
-    n = config.resolution
-    if batch.ndim != 4 or batch.shape[1:] != (n, n, n):
-        raise EncoderError(f"shape batch must be (batch, {n}, {n}, {n}), "
-                           f"got {batch.shape}")
+    if batch.ndim != 4 or batch.shape[1:] != (GRID_EDGE,) * 3:
+        raise EncoderError(f"shape batch must be (batch, {GRID_EDGE}, {GRID_EDGE}, "
+                           f"{GRID_EDGE}), got {batch.shape}")
     return batch.astype(dtype)[..., None]
 
 
 def shape_apply(params: Params, grids):
     """(embeddings, tape) of a (B, 16, 16, 16) occupancy batch."""
-    x = _grid_batch(grids, params.config, params.flat.dtype)
+    x = _grid_batch(grids, params.flat.dtype)
     tape, step = _recorder(params.arrays)
     plan = params.config.layer_plan()
     for i, (_, _, stride, pad) in enumerate(plan, start=1):
@@ -349,9 +349,9 @@ def shape_forward(params: Params, grids) -> np.ndarray:
 # shape) as little-endian float32 bytes; the header lists every parameter's
 # name, shape, byte offset and size, as the layout gives them
 
-# version 2 stores the last shape convolution as its live taps; the
-# 27-tap files of version 1 are refused
-CHECKPOINT_VERSION = 2
+# version 2 padded the middle stride-3 layer by 1, and version 1 also kept
+# all 27 taps of the last; no pad is in the header, so both are refused
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

@@ -79,7 +79,8 @@ def _get(sizes, entity, attr):
 
 
 def _hub_parts(spec, sizes, entity, x):
-    """Positive parts of one pivot-hole hub, each already bored (annuli)."""
+    """Positive parts of one pivot-hole hub, unbored: `build_solid` cuts
+    the hole's bore through all of them at once."""
     outer = _get(sizes, entity, "outer diameter")
     inner = _get(sizes, entity, "inner diameter")
     depth = _get(sizes, entity, "depth")
@@ -97,8 +98,7 @@ def _hub_parts(spec, sizes, entity, x):
         convex = _get(sizes, entity, "inner edge convex thickness")
         ring_r = inner / 2.0 + 0.4 * (outer - inner) / 2.0
         bodies.append(Cylinder(center, ring_r, depth + 2.0 * convex, axis=2))
-    bore = lambda h: Cylinder(center, inner / 2.0, h, axis=2)
-    return [Difference((body, bore(body.height))) for body in bodies]
+    return bodies
 
 
 def _shaft_body(spec, sizes, length):
@@ -155,9 +155,10 @@ def build_solid(spec: LinkingRodSpec,
                 schema: FeatureSchema | None = None):
     """Assemble the CSG tree for a valid spec with concrete mm sizes.
 
-    Shape: difference(union(hub annuli..., shaft body), bore, bore[, hole]);
-    the global bore subtraction keeps pivot holes open where they overlap
-    the shaft. Deterministic for fixed inputs.
+    Shape: difference(union(hub bodies..., shaft body), bore, bore[, hole]);
+    each bore runs through the whole working cube, so it opens its pivot
+    hole through every hub body and the shaft alike. Deterministic for
+    fixed inputs.
     """
     schema = schema or default_schema()
     report = validate_spec(spec, schema)

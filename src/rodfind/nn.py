@@ -27,21 +27,21 @@ at most 6e-8 in float32 and 2.2e-16 in float64 (absolute; relative
 accuracy is lost only where a gate is below ~1e-7).
 
 The 3-d convolution takes two layouts, one path each: stride 1 at pad 1,
-and stride 3 at any pad. The forward raises ValueError for any other, which
-the backward could not differentiate. Stride 1 lowers its input to plane
-columns, the 3x3 in-plane windows of every padded plane: 9 * Cin wide,
-(D + 2) / D * 9 / 27 the size of the 27 * Cin-wide columns (0.375 at
-D = 16). One GEMM per kernel plane maps them all, and each output plane
-adds three of the products (MEC, Cho & Brand, arXiv:1706.06873). Its weight
-gradient is one batched GEMM per kernel plane over the same columns; its
-input gradient is the same plane-column convolution of dy with the kernel
-flipped in space and transposed in channels. Stride-3 windows of a
-kernel-3 convolution tile the padded grid without overlap, so their
-27 * Cin-wide columns are a block reshape of it, which copies no padded
-row that no window reads; the backward places each column gradient in a
-block of its own. Against a float64 loop over the 27 taps, a float32
-forward is within 1e-5 of the sum of the absolute products; only the order
-of the sums differs.
+and stride 3 at a pad that makes the padded edge a multiple of 3. The
+forward raises ValueError for any other, which the backward could not
+differentiate. Stride 1 lowers its input to plane columns, the 3x3 in-plane
+windows of every padded plane: 9 * Cin wide, (D + 2) / D * 9 / 27 the size
+of the 27 * Cin-wide columns (0.375 at D = 16). One GEMM per kernel plane
+maps them all, and each output plane adds three of the products (MEC, Cho &
+Brand, arXiv:1706.06873). Its weight gradient is one batched GEMM per
+kernel plane over the same columns; its input gradient is the same
+plane-column convolution of dy with the kernel flipped in space and
+transposed in channels. Stride-3 windows of a kernel-3 convolution tile
+such a padded grid without overlap, so their 27 * Cin-wide columns are a
+block reshape of it; the backward places each column gradient in a block of
+its own and slices off the pad. Against a float64 loop over the 27 taps, a
+float32 forward is within 1e-5 of the sum of the absolute products; only
+the order of the sums differs.
 
 Layers that only move values index by reshaping, not by looping over
 window offsets: stride-3 windows of a kernel-3 convolution do not overlap,
@@ -132,30 +132,29 @@ def _plane_conv3d(x, w3):
 def _blocks(x, pad):
     """Columns of every stride-3 window of x padded by `pad`, (B * out^3,
     27 * Cin), window offsets outermost, then channels; also returns out.
-    They reshape [0, 3 * out) of the padded grid, which the windows tile."""
+    The windows tile the padded grid, so the columns are a reshape of it."""
     B, D, cin = x.shape[0], x.shape[1], x.shape[4]
-    out = (D + 2 * pad - 3) // 3 + 1
-    span, keep = 3 * out, min(D, 3 * out - pad)
-    xp = np.zeros((B, span, span, span, cin), dtype=x.dtype)
-    xp[:, pad:pad + keep, pad:pad + keep, pad:pad + keep] = x[:, :keep, :keep, :keep]
+    out = (D + 2 * pad) // 3
+    xp = np.zeros((B, 3 * out, 3 * out, 3 * out, cin), dtype=x.dtype)
+    xp[:, pad:pad + D, pad:pad + D, pad:pad + D] = x
     blocks = xp.reshape(B, out, 3, out, 3, out, 3, cin).transpose(0, 1, 3, 5, 2, 4, 6, 7)
     return blocks.reshape(B * out ** 3, 27 * cin), out
 
 
 def conv3d_forward(x, w, b, stride, pad):
     """x: (B, D, D, D, Cin); w: (Cout, Cin, 3, 3, 3); stride 1 at pad 1, or
-    stride 3 at any pad. The cache is (columns, the (27 * Cin, Cout)
-    weights, x's shape, pad, stride)."""
+    stride 3 at a pad that makes D + 2 * pad a multiple of 3. The cache is
+    (columns, the (27 * Cin, Cout) weights, x's shape, pad, stride)."""
     cin, cout = x.shape[4], w.shape[0]
     if stride == 1 and pad == 1:
         w3 = w.transpose(2, 3, 4, 1, 0).reshape(3, 9 * cin, cout)
         y, cols = _plane_conv3d(x, w3)
         y += b
         return y, (cols, w3.reshape(27 * cin, cout), x.shape, pad, stride)
-    if stride != 3 or x.shape[1] + 2 * pad < 3:
-        raise ValueError(f"conv3d handles stride 1 at pad 1 and stride 3 over a padded "
-                         f"edge of at least 3, not stride {stride} at pad {pad} over "
-                         f"edge {x.shape[1]}")
+    if stride != 3 or (x.shape[1] + 2 * pad) % 3:
+        raise ValueError(f"conv3d handles stride 1 at pad 1 and stride 3 where the "
+                         f"padded edge is a multiple of 3, not stride {stride} at pad "
+                         f"{pad} over edge {x.shape[1]}")
     cols, out = _blocks(x, pad)
     # (27 * Cin, Cout) as the transpose of a copy that keeps Cout outermost,
     # which moves memory in far longer runs than copying to this layout
@@ -193,12 +192,9 @@ def conv3d_backward(cache, dy, input_grad=True):
         return None, dw, db
     # each window's column gradient fills its own 3x3x3 block, as in _blocks
     out = dy.shape[1]
-    span, keep = 3 * out, min(D, 3 * out - pad)
     dxp = (dy2 @ wmat.T).reshape(B, out, out, out, 3, 3, 3, cin).transpose(
-        0, 1, 4, 2, 5, 3, 6, 7).reshape(B, span, span, span, cin)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    dx[:, :keep, :keep, :keep] = dxp[:, pad:pad + keep, pad:pad + keep, pad:pad + keep]
-    return dx, dw, db
+        0, 1, 4, 2, 5, 3, 6, 7).reshape(B, 3 * out, 3 * out, 3 * out, cin)
+    return dxp[:, pad:pad + D, pad:pad + D, pad:pad + D], dw, db
 
 
 def position_linear_forward(x, w, b):

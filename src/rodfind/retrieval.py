@@ -64,6 +64,9 @@ class ShapeIndex:
                 raise RetrievalError(f"index ids and {name} disagree in length")
         if len(set(self.ids)) != len(self.ids):
             raise RetrievalError("index contains duplicate sample ids")
+        # a NaN distance never ranks, so a NaN row would cut a query short of k
+        if not np.isfinite(self.embeddings).all():
+            raise RetrievalError("index embeddings must be finite")
 
     def __len__(self):
         return len(self.ids)
@@ -106,7 +109,7 @@ def build_index(samples, checkpoint: enc.Checkpoint,
     if len(set(ids)) != len(ids):
         dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise RetrievalError(f"duplicate sample ids: {dupes}")
-    resolution = checkpoint.shape.config.resolution
+    resolution = enc.GRID_EDGE
     for s in samples:
         if s.grid.resolution != resolution:
             raise RetrievalError(

@@ -71,6 +71,14 @@ def test_missing_file_is_runtime_error(capsys, tmp_path):
     assert "missing.stl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [["--per-base", "-1"], ["--total", "0"]])
+def test_gen_dataset_refuses_a_count_below_one_and_writes_nothing(tmp_path, capsys, count):
+    assert dispatch(["gen-dataset", "--out", str(tmp_path / "data"), "--bases", "2",
+                     *count]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_gen_dataset_is_deterministic(tmp_path):
     for name in ("a", "b"):
         assert dispatch(["gen-dataset", "--out", str(tmp_path / name),
@@ -319,6 +327,35 @@ def test_tune_trains_with_the_train_defaults_its_design_leaves_out(
     assert [(c.batch_size, c.margin, c.learning_rate, c.epochs, c.mu, c.seed, layers)
             for c, layers in seen] == [(2, 0.5, 1e-5, 100, 1.0, 5, 7),
                                        (3, 0.5, 1e-5, 100, 1.0, 5, 7)]
+
+
+def test_tune_refuses_a_bad_level_before_any_row_trains(workspace, tmp_path, capsys,
+                                                        monkeypatch):
+    from types import SimpleNamespace
+
+    from rodfind import training as tr
+
+    _, data, _, _ = workspace
+    calls = []
+
+    def recorded_fit(train, val, config, shape_config):
+        calls.append(config)
+        return SimpleNamespace(log=[SimpleNamespace(val_recall1=0.5)])
+
+    monkeypatch.setattr(tr, "fit", recorded_fit)
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"kind": "L9_3level", "factors": [
+        {"name": "batch size", "levels": [2, 3, 1]},
+        {"name": "epochs", "levels": [1, 2, 3]}]}))
+    assert dispatch(["tune", "--manifest", str(data / "manifest.csv"),
+                     "--design", str(design), "--out", str(tmp_path / "report.csv"),
+                     "--seed", "5"]) == 2
+    # row 7 is the first with batch size 1; rows 1-6 would have trained first
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "failed on row 7 ({'batch size': 1, 'epochs': 1})" in err
+    assert "batch_size must be at least 2" in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_tune_has_no_budget_option(tmp_path, capsys):

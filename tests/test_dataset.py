@@ -59,6 +59,16 @@ class TestGenerate:
             ds.generate_variants([(structure, ())], per_base=10, seed=0,
                                  schema=schema, with_grids=False)
 
+    @pytest.mark.parametrize("counts", [dict(per_base=0), dict(per_base=-1),
+                                        dict(total=0), dict(total=-5)],
+                             ids=["per_base=0", "per_base=-1", "total=0", "total=-5"])
+    def test_count_below_one_refused(self, counts):
+        # a negative per_base once sliced the permutation from its end and
+        # kept every combination but one
+        name, value = next(iter(counts.items()))
+        with pytest.raises(DatasetError, match=f"{name} must be at least 1, got {value}"):
+            ds.generate_variants(bases=2, seed=0, with_grids=False, **counts)
+
     def test_same_seed_same_samples(self):
         a = ds.generate_variants(bases=2, per_base=5, seed=42)
         b = ds.generate_variants(bases=2, per_base=5, seed=42)

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +116,14 @@ class TestInit:
         assert np.abs(tp.arrays["conv1_w"]).max() > 0.9 * bound  # actually fills the range
 
 
+def test_readme_states_the_checkpoint_version_and_shape_parameter_count():
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").split())
+    assert re.findall(r"format version (\d+)", readme) == [str(enc.CHECKPOINT_VERSION)]
+    size = sum(math.prod(shape) for _, shape, _ in enc.ShapeEncoderConfig().layout())
+    assert re.findall(r"([\d,]+) shape parameters", readme) == [f"{size:,}"]
+
+
 class TestShapeConfig:
     def test_spatial_trace_matches_conv_arithmetic(self):
         sizes, pooled = enc.ShapeEncoderConfig().spatial_trace()
@@ -128,6 +139,18 @@ class TestShapeConfig:
         # window, which is what lets it store only those taps
         assert sizes[-2] == 2 and cfg.layer_plan()[-1][2:] == (3, 2)
         assert len(cfg.layer_plan()) == layers
+
+    @pytest.mark.parametrize("layers", [3, 4, 5, 6, 7])
+    def test_every_stride_3_layer_pads_its_edge_to_a_multiple_of_3(self, layers):
+        # then its windows tile the padded grid and read every input voxel
+        cfg = enc.ShapeEncoderConfig(num_conv_layers=layers)
+        edges = [enc.GRID_EDGE] + cfg.spatial_trace()[0]
+        pads = []
+        for edge, (_, _, stride, pad) in zip(edges, cfg.layer_plan()):
+            if stride == 3:
+                assert (edge + 2 * pad) % 3 == 0, (edge, pad)
+                pads.append(pad)
+        assert pads == [1, 0, 2]
 
     def test_depth_out_of_range(self):
         with pytest.raises(EncoderError):
@@ -198,6 +221,27 @@ class TestForward:
         for grids in (np.zeros((0, 16, 16, 16)), []):
             with pytest.raises(EncoderError, match="shape batch is empty"):
                 enc.shape_forward(sp, grids)
+
+    @pytest.mark.parametrize("layers", [3, 4])
+    def test_every_voxel_near_the_far_faces_moves_the_embedding(self, layers):
+        # the voxels with a coordinate >= 14 are the ones a stride-3 window
+        # could miss. Each flip is one row of a float32 batch whose row 0 is
+        # the unflipped grid; rows are compared only within a batch, since a
+        # forward's last bits depend on the batch size.
+        _, sp = enc.init_params(10, 0, shape_config=enc.ShapeEncoderConfig(
+            num_conv_layers=layers))
+        grid = (np.random.default_rng(3).random((16, 16, 16)) < 0.4).astype(np.float32)
+        coords = np.argwhere(np.indices(grid.shape).max(axis=0) >= 14)
+        unchanged = []
+        for start in range(0, len(coords), 127):
+            chunk = coords[start:start + 127]
+            batch = np.repeat(grid[None], len(chunk) + 1, axis=0)
+            rows = np.arange(1, len(chunk) + 1)
+            batch[(rows, *chunk.T)] = 1 - batch[(rows, *chunk.T)]
+            y = enc.shape_forward(sp, batch)
+            unchanged += chunk[(y[1:] == y[0]).all(axis=1)].tolist()
+        assert len(coords) == 16 ** 3 - 14 ** 3
+        assert unchanged == [], f"{len(unchanged)} voxels never reach the embedding"
 
     def test_wrong_resolution_rejected(self):
         _, sp = enc.init_params(10, seed=0)
@@ -326,21 +370,37 @@ NOT_INTEGER = {
 
 class TestCheckpoint:
     def test_golden_bytes(self):
-        # they pin the file format and the initializer's draw order; these are
-        # the version-1 files' bytes with the version set to 2 and the last
-        # shape layer's entry and data cut to its live taps
+        # they pin the file format and the initializer's draw order. The
+        # parameter bytes after the header line are the version-2 files':
+        # version 3 changed the header (the version, and no resolution in
+        # the shape config) but not a single drawn weight
+        def digests(data):
+            body = data[data.index(b"\n") + 1:]
+            return hashlib.sha256(data).hexdigest(), hashlib.sha256(body).hexdigest()
+
         tiny = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), {"shaft": 2},
                                     {"seed": 11})
-        assert hashlib.sha256(tiny).hexdigest() == (
-            "8b4292d20081856bda847bc0bb8f32f78069fa358cc8d99f4be9453daca44de7")
+        assert digests(tiny) == (
+            "2635210ede2f0b9e71fc5943ec3cc7c5948f710aee13f03d88a7bde7e556aea6",
+            "acdad7eacb289a35796ef99f7e4603d0c70766a1ea8099dc8e5c1c2534d99497")
         full = enc.checkpoint_bytes(*enc.init_params(50, 42), {}, {})
-        assert hashlib.sha256(full).hexdigest() == (
-            "cb6e76243e10223e1562a8677af9d57bfe1cd201e31a18d9c67f027b03081818")
+        assert digests(full) == (
+            "be33d92fcbc97650a5475cad69b5b19b5e46d2efda55077fc5b00202ad7d3917",
+            "496dcc0c0d5cb7ea7af50b3ba8cd3f1cb7e0804b25ff8fa45e9ac32e48ffb309")
 
     def test_version_1_checkpoint_refused_with_both_versions_named(self):
         data = _edit_header(lambda h: h.update(version=1))(
             enc.checkpoint_bytes(*tiny_params(dtype=np.float32), words(8), {}))
-        with pytest.raises(EncoderError, match="version 1 .* reads version 2"):
+        with pytest.raises(EncoderError, match="version 1 .* reads version 3"):
+            parse(data)
+
+    def test_version_2_checkpoint_refused_with_both_versions_named(self):
+        # a version-2 file has the same layout but pads the middle stride-3
+        # layer by 1, so it would load and then compute a different function
+        data = _edit_header(lambda h: (h.update(version=2),
+                                       h["shape_config"].update(resolution=16)))(
+            enc.checkpoint_bytes(*tiny_params(dtype=np.float32), words(8), {}))
+        with pytest.raises(EncoderError, match="version 2 .* reads version 3"):
             parse(data)
 
     @pytest.mark.parametrize("corrupt", MALFORMED.values(), ids=MALFORMED.keys())

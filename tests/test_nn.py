@@ -49,10 +49,10 @@ def check_conv_adjoint(forward, backward, x, w, dy_seed, *args, cout_axis=0):
     assert_adjoint(float((y_b * dy).sum()), float(b @ db), float(np.abs(y_b * dy).sum()))
 
 
-# (stride, pad) pairs the shape encoder uses, and stride 3 at pad 0, which
-# tiles a multiple of 3 exactly; each with the smallest edge that leaves at
-# least one output position
-CONV3D_LAYOUTS = [(1, 1, 1), (3, 1, 1), (3, 2, 1), (3, 0, 3)]
+# the (stride, pad) pairs the shape encoder uses, each with the smallest
+# edge that leaves at least one output position; a test draws the edge
+# min_edge + stride * extra, so stride-3 windows always tile the padded grid
+CONV3D_LAYOUTS = [(1, 1, 1), (3, 1, 1), (3, 2, 2), (3, 0, 3)]
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -63,7 +63,7 @@ def test_conv3d_backward_is_the_adjoint_of_the_forward(layout, extra, batch, cin
                                                        seed):
     stride, pad, min_edge = layout
     rng = np.random.default_rng(seed)
-    d = min_edge + extra
+    d = min_edge + stride * extra
     x = rng.standard_normal((batch, d, d, d, cin))
     w = rng.standard_normal((cout, cin, 3, 3, 3))
     check_conv_adjoint(nn.conv3d_forward, nn.conv3d_backward, x, w, seed, stride, pad)
@@ -72,7 +72,8 @@ def test_conv3d_backward_is_the_adjoint_of_the_forward(layout, extra, batch, cin
 def test_conv3d_adjoint_covers_unequal_channels_at_every_layout():
     for stride, pad, min_edge in CONV3D_LAYOUTS:
         rng = np.random.default_rng(stride * 10 + pad)
-        x = rng.standard_normal((2, min_edge + 4, min_edge + 4, min_edge + 4, 3))
+        d = min_edge + 4 * stride
+        x = rng.standard_normal((2, d, d, d, 3))
         w = rng.standard_normal((5, 3, 3, 3, 3))
         check_conv_adjoint(nn.conv3d_forward, nn.conv3d_backward, x, w, 7, stride, pad)
 
@@ -111,7 +112,7 @@ def test_conv3d_forward_matches_the_27_tap_reference(layout, extra, batch, cin, 
                                                       dtype, seed):
     stride, pad, min_edge = layout
     rng = np.random.default_rng(seed)
-    d = min_edge + extra
+    d = min_edge + stride * extra
     check_conv3d_forward(rng.standard_normal((batch, d, d, d, cin)),
                          rng.standard_normal((cout, cin, 3, 3, 3)),
                          rng.standard_normal(cout), stride, pad, dtype)
@@ -122,7 +123,7 @@ def test_conv3d_forward_covers_unequal_channels_at_every_layout(dtype):
     for stride, pad, min_edge in CONV3D_LAYOUTS:
         for cin, cout in [(2, 5), (5, 1)]:
             rng = np.random.default_rng(stride * 10 + pad + cin)
-            d = min_edge + 4
+            d = min_edge + 4 * stride
             check_conv3d_forward(rng.standard_normal((2, d, d, d, cin)),
                                  rng.standard_normal((cout, cin, 3, 3, 3)),
                                  rng.standard_normal(cout), stride, pad, dtype)
@@ -169,8 +170,9 @@ def test_conv3d_backward_without_input_grad_gives_the_same_weight_grads():
 
 def test_conv3d_forward_refuses_a_stride_it_does_not_handle():
     # the layouts the backward cannot differentiate: any stride but 1 and 3,
-    # stride 1 at any pad but 1, and a padded edge holding no window
-    for stride, pad, edge in [(2, 1, 4), (1, 0, 4), (1, 2, 4), (3, 0, 2)]:
+    # stride 1 at any pad but 1, and stride 3 where the windows do not tile
+    # the padded grid, such as conv6's old pad of 1 on its 6^3 input
+    for stride, pad, edge in [(2, 1, 4), (1, 0, 4), (1, 2, 4), (3, 0, 2), (3, 1, 6)]:
         x = np.zeros((1, edge, edge, edge, 1))
         with pytest.raises(ValueError, match=f"not stride {stride} at pad {pad}"):
             nn.conv3d_forward(x, np.zeros((1, 1, 3, 3, 3)), np.zeros(1), stride, pad)

@@ -112,6 +112,22 @@ class TestIndexIO:
         mine[0, 0] = 0.0
         assert shared.embeddings[0, 0] == 0.0  # shared, not copied
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_rejected(self, gallery, tmp_path, bad):
+        # a NaN distance never ranks: a 10-entry index with one NaN row
+        # answered k=10 with no match at all
+        _, _, index = gallery
+        rows = index.embeddings.copy()
+        rows[3, 5] = bad
+        with pytest.raises(RetrievalError, match="finite"):
+            rt.ShapeIndex(index.ids, rows, index.nrrd_paths, index.texts,
+                          index.fingerprint, index.resolution)
+        path = tmp_path / "gallery.idx"
+        rt.save_index(index, path)
+        path.write_bytes(path.read_bytes()[:-4] + np.array([bad], "<f4").tobytes())
+        with pytest.raises(RetrievalError, match="finite"):
+            rt.load_index(path)
+
     def test_loading_peaks_below_the_index_plus_one_and_a_quarter_files(self, tmp_path):
         # a query-sized gallery: 128-d rows and ~714-byte texts, so the JSON
         # header is most of the file
