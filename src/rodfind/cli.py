@@ -23,17 +23,18 @@ def _data_root(value: str | None) -> Path:
     return Path(value or os.environ.get("RODFIND_DATA_DIR") or ".")
 
 
-def _k_value(text: str) -> int:
-    """`query --k`: an integer of at least 1."""
-    k = int(text)  # argparse reports a ValueError
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"k must be at least 1, got {text!r}")
-    return k
+def _at_least_one(text: str) -> int:
+    """`--threads` and `query --k`: an integer of at least 1; argparse
+    names the option in its message."""
+    value = int(text)  # argparse reports a ValueError
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _k_values(text: str) -> list[int]:
     """`eval --k`: comma-separated integers, each at least 1."""
-    return [_k_value(k) for k in text.split(",")]
+    return [_at_least_one(k) for k in text.split(",")]
 
 
 # `train`'s option defaults; `tune` trains every design row with these for
@@ -45,11 +46,11 @@ _TRAIN_DEFAULTS = {"epochs": 100, "batch_size": 4, "learning_rate": 1e-5,
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rodfind", description=__doc__)
     parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_at_least_one, default=None,
                         help="cap BLAS threads (1 forces full determinism)")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("gen-dataset", help="generate the paired corpus")
+    p = sub.add_parser("gen-dataset", help="generate the paired corpus of 16^3 grids")
     p.add_argument("--out", default=None, help="output directory (default: data root)")
     p.add_argument("--bases", type=int, default=15)
     group = p.add_mutually_exclusive_group()
@@ -57,12 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--per-base", type=int, default=None)
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution", type=int, default=16)
 
-    p = sub.add_parser("voxelize", help="STL file to NRRD occupancy grid")
+    p = sub.add_parser("voxelize", help="STL file to a 16^3 NRRD occupancy grid")
     p.add_argument("--stl", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--resolution", type=int, default=16)
     p.add_argument("--mode", choices=("fill", "surface"), default="fill")
 
     p = sub.add_parser("train", help="train the joint embedding from a manifest")
@@ -96,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     text = p.add_mutually_exclusive_group(required=True)
     text.add_argument("--text")
     text.add_argument("--text-file")
-    p.add_argument("--k", type=_k_value, default=8)
+    p.add_argument("--k", type=_at_least_one, default=8)
     p.add_argument("--strict", action="store_true",
                    help="reject texts with unrecognized sentences")
     p.add_argument("--json", action="store_true")
@@ -180,13 +179,13 @@ def main():
 
 def _cmd_gen_dataset(args) -> int:
     from . import dataset as ds
+    from .encoders import GRID_EDGE
 
     out = _data_root(args.out)
     samples = ds.generate_variants(bases=args.bases, per_base=args.per_base,
-                                   total=args.total, seed=args.seed,
-                                   resolution=args.resolution)
-    (out / "grids").mkdir(parents=True, exist_ok=True)
+                                   total=args.total, seed=args.seed)
     train, val = ds.split_samples(samples, args.val_fraction, seed=args.seed)
+    (out / "grids").mkdir(parents=True, exist_ok=True)
     val_ids = {s.id for s in val}
 
     rows = []
@@ -197,7 +196,7 @@ def _cmd_gen_dataset(args) -> int:
                                    "val" if sample.id in val_ids else "train"))
     manifest = ds.DatasetManifest(rows, {
         "schema_version": 1,
-        "resolution": args.resolution,
+        "resolution": GRID_EDGE,
         "seed": args.seed,
         "bases": args.bases,
     })
@@ -210,10 +209,11 @@ def _cmd_gen_dataset(args) -> int:
 def _cmd_voxelize(args) -> int:
     from . import dataset as ds
     from . import geometry as geo
+    from .encoders import GRID_EDGE
 
     data = Path(args.stl).read_bytes()
     mesh = geo.parse_stl(data)
-    grid = geo.voxelize_mesh(mesh, args.resolution, mode=args.mode)
+    grid = geo.voxelize_mesh(mesh, GRID_EDGE, mode=args.mode)
     Path(args.out).write_bytes(ds.write_nrrd(grid))
     print(f"voxelized {args.stl} ({len(mesh)} triangles) -> {args.out} "
           f"({grid.occupied_count}/{grid.resolution ** 3} occupied)")

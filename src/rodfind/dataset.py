@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoders import GRID_EDGE
 from .errors import DatasetError, ManifestError, NrrdError
 from .geometry import (
     VoxelGrid,
@@ -415,14 +416,15 @@ def _distribute(total, groups):
 
 def generate_variants(bases=15, per_base=None, total=None, seed: int = 0,
                       schema: FeatureSchema | None = None,
-                      resolution: int = 16, with_grids: bool = True) -> list[Sample]:
+                      with_grids: bool = True) -> list[Sample]:
     """Generate the paired corpus.
 
     `bases` is a count (first n shipped bases) or a list of (structure, pair)
     entries. Either pass `per_base` (same count for every base) or `total`
     (distributed as evenly as possible). Each variant keeps its base's
     structure and differs in the size-class combination; combinations are
-    unique within a base, so every text is unique. Deterministic for a seed.
+    unique within a base, so every text is unique. Each grid is
+    GRID_EDGE^3, the edge the shape encoder reads. Deterministic for a seed.
     """
     schema = schema or default_schema()
     if isinstance(bases, int):
@@ -475,7 +477,7 @@ def generate_variants(bases=15, per_base=None, total=None, seed: int = 0,
             grid = None
             if with_grids:
                 solid = build_solid(spec, concrete_sizes(spec, schema), schema)
-                grid = voxelize_solid(solid, resolution)
+                grid = voxelize_solid(solid, GRID_EDGE)
             samples.append(Sample(sample_id, spec, text, grid))
     return samples
 

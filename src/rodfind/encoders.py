@@ -31,7 +31,7 @@ is written once. Each forward returns the embeddings alone.
 Parameters: each encoder keeps all of its parameters in one contiguous
 buffer (`Params.flat`) with named views into it (`Params.arrays`). The
 config's `layout()` fixes the views' names, shapes and order; that order is
-also the order of the checkpoint entries and of the initializer's random
+also the order of the checkpoint's bytes and of the initializer's random
 draws, and a backward returns its gradient in a buffer with the same layout.
 Updates write into the buffer in place and never rebind it, so the views
 stay valid.
@@ -42,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -115,15 +114,6 @@ class ShapeEncoderConfig:
             plan.append((channels, out_channels, 3, pad))
             channels, edge = out_channels, (edge + 2 * pad) // 3
         return plan
-
-    def spatial_trace(self):
-        """Cube edge length after each convolution, then after the pool."""
-        size = GRID_EDGE
-        sizes = []
-        for _, _, stride, pad in self.layer_plan():
-            size = (size + 2 * pad - 3) // stride + 1
-            sizes.append(size)
-        return sizes, sizes[-1] - 1
 
     def layout(self):
         """(name, shape, fan_in) of every parameter in buffer order; fan_in
@@ -346,12 +336,15 @@ def shape_forward(params: Params, grids) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # checkpoints: one JSON metadata line, then each encoder's buffer (text,
-# shape) as little-endian float32 bytes; the header lists every parameter's
-# name, shape, byte offset and size, as the layout gives them
+# shape) as little-endian float32 bytes. The header holds the two configs,
+# the vocabulary and the meta; each config's layout gives its buffer's
+# parameters, shapes and order, so the header lists no offsets
 
-# version 2 padded the middle stride-3 layer by 1, and version 1 also kept
-# all 27 taps of the last; no pad is in the header, so both are refused
-CHECKPOINT_VERSION = 3
+# version 3 also listed every parameter's offset in the header, version 2
+# padded the middle stride-3 layer by 1, and version 1 also kept all 27 taps
+# of the last; a reader checks one format, and no pad is in the header, so
+# every older version is refused
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -382,19 +375,6 @@ def _config_from_json(cls, data):
     return cls(**values)
 
 
-def _entries(text_config, shape_config):
-    """Header entries of both buffers, the shape buffer's bytes following
-    the text buffer's."""
-    entries, offset = [], 0
-    for owner, config in (("text", text_config), ("shape", shape_config)):
-        for name, shape, _ in config.layout():
-            nbytes = 4 * math.prod(shape)
-            entries.append({"name": f"{owner}.{name}", "shape": list(shape),
-                            "offset": offset, "nbytes": nbytes})
-            offset += nbytes
-    return entries
-
-
 def checkpoint_bytes(text: Params, shape: Params,
                      vocab_words: dict[str, int], meta: dict | None = None) -> bytes:
     header = {
@@ -404,7 +384,6 @@ def checkpoint_bytes(text: Params, shape: Params,
         "shape_config": dataclasses.asdict(shape.config),
         "vocab": vocab_words,
         "meta": meta or {},
-        "params": _entries(text.config, shape.config),
     }
     return b"".join([json.dumps(header, sort_keys=True).encode("utf-8"), b"\n",
                      text.flat.astype("<f4", copy=False),
@@ -444,31 +423,19 @@ def parse_checkpoint(stream) -> Checkpoint:
     try:
         text_config = _config_from_json(TextEncoderConfig, header["text_config"])
         shape_config = _config_from_json(ShapeEncoderConfig, header["shape_config"])
-        expected = _entries(text_config, shape_config)
-        vocab, table = header["vocab"], header["params"]
+        vocab = header["vocab"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise EncoderError(f"malformed checkpoint metadata: {exc!r}") from None
-
-    # the entries must be exactly the layout's: then none is missing,
-    # repeated, mis-sized or aliases another, and each buffer is one run
-    if not isinstance(table, list):
-        raise EncoderError("checkpoint parameter table is not a list")
-    for want, got in itertools.zip_longest(expected, table):
-        if got != want:
-            raise EncoderError(f"checkpoint entry {got} does not match the "
-                               f"layout's {want}")
     _check_vocab(vocab, text_config.vocab_size)
 
     digest = hashlib.sha256(line)
-    loaded, blob_size = [], 0
-    for config in (text_config, shape_config):
+    loaded = []
+    for owner, config in (("text", text_config), ("shape", shape_config)):
         flat = np.empty(_size(config), dtype="<f4")
         got = stream.readinto(flat)
-        blob_size += got
         if got < flat.nbytes:
-            name = next(entry["name"] for entry in expected
-                        if entry["offset"] + entry["nbytes"] > blob_size)
-            raise EncoderError(f"checkpoint blob truncated at {name}")
+            raise EncoderError(f"checkpoint blob truncated in the {owner} buffer: "
+                               f"{got} of its {flat.nbytes} bytes")
         digest.update(flat)
         loaded.append(Params(config, flat.astype(np.float32, copy=False)))
     extra = len(stream.read())

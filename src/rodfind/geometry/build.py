@@ -25,7 +25,7 @@ SIZE_BANDS = {
 BAND_MIDPOINTS = {cls: (lo + hi) / 2.0 for cls, (lo, hi) in SIZE_BANDS.items()}
 
 # reference dimensions in mm, sized so that every class step moves at least
-# a voxel or two at the default 16^3 resolution; inner diameter is relative
+# a voxel or two on the corpus's 16^3 grid; inner diameter is relative
 # (see concrete_sizes); the arc radius reference sits at the feasibility
 # limit (smallest radius >= half the longest shaft) for maximal curvature
 REFERENCE_MM = {

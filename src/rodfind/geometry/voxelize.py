@@ -17,8 +17,6 @@ from ..errors import VoxelError
 from .solids import Aabb, contains, solid_aabb
 from .stl import TriangleMesh
 
-DEFAULT_RESOLUTION = 16
-
 
 @dataclass
 class VoxelGrid:
@@ -74,7 +72,7 @@ def _grid_centers(box: Aabb, n: int):
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
-def voxelize_solid(solid, resolution: int = DEFAULT_RESOLUTION, *,
+def voxelize_solid(solid, resolution: int, *,
                    aabb: Aabb | None = None) -> VoxelGrid:
     """Occupancy by CSG point membership at voxel centers (interior included
     by construction). An explicit `aabb` pins the normalization frame, which
@@ -192,7 +190,7 @@ def _ray_parity(point: np.ndarray, verts: np.ndarray) -> int:
     return int(np.count_nonzero(crossings)) % 2
 
 
-def voxelize_mesh(mesh: TriangleMesh, resolution: int = DEFAULT_RESOLUTION, *,
+def voxelize_mesh(mesh: TriangleMesh, resolution: int, *,
                   mode: str = "fill") -> VoxelGrid:
     """Voxelize a triangle mesh.
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rodfind.cli import dispatch
+from rodfind.cli import build_parser, dispatch
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,47 @@ def test_gen_dataset_refuses_a_count_below_one_and_writes_nothing(tmp_path, caps
     assert not (tmp_path / "data").exists()
 
 
+def test_gen_dataset_refuses_a_bad_val_fraction_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert dispatch(["gen-dataset", "--out", str(out), "--bases", "2",
+                     "--per-base", "3", "--val-fraction", "1.5"]) == 2
+    assert "val_fraction must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-dataset", "voxelize"])
+def test_grid_edge_is_not_an_option(command, tmp_path, capsys):
+    # the shape encoder reads only 16^3 grids, so both commands write those
+    out = tmp_path / "out"
+    options = {"gen-dataset": ["--bases", "2", "--per-base", "4"],
+               "voxelize": ["--stl", str(tmp_path / "part.stl")]}[command]
+    assert dispatch([command, "--out", str(out), *options, "--resolution", "8"]) == 1
+    assert "unrecognized arguments: --resolution 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_usage_error(threads, capsys):
+    # refused before any handler runs, so no BLAS pool is configured or started
+    assert dispatch(["--threads", threads, "eval", "--checkpoint", "missing.ckpt",
+                     "--manifest", "missing.csv"]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --threads: must be at least 1, got '{threads}'" in err
+
+
+def test_readme_command_lines_parse():
+    # every `rodfind ...` line of the README's usage block, continuations
+    # joined, is a command line the parser accepts
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("rodfind ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
+
+
 def test_gen_dataset_is_deterministic(tmp_path):
     for name in ("a", "b"):
         assert dispatch(["gen-dataset", "--out", str(tmp_path / name),
@@ -107,10 +149,10 @@ def test_voxelize_command(tmp_path):
     stl = tmp_path / "cube.stl"
     stl.write_bytes(geo.write_stl(geo.cuboid_mesh((0, 0, 0), (8, 8, 8)), "binary"))
     out = tmp_path / "cube.nrrd"
-    assert dispatch(["voxelize", "--stl", str(stl), "--out", str(out),
-                     "--resolution", "8"]) == 0
+    assert dispatch(["voxelize", "--stl", str(stl), "--out", str(out)]) == 0
     grid = ds.read_nrrd(out.read_bytes())
-    assert grid.occupied_count == 8 ** 3
+    assert grid.resolution == 16
+    assert grid.occupied_count == 16 ** 3
 
 
 def test_train_writes_log_and_checkpoint(workspace):
@@ -387,9 +429,13 @@ def test_config_supplies_required_options_and_rejects_unknown_keys(tmp_path, cap
     stl.write_bytes(geo.write_stl(geo.cuboid_mesh((0, 0, 0), (8, 8, 8)), "binary"))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"stl": str(stl), "out": str(tmp_path / "cube.nrrd"),
-                                  "resolution": 8}))
+                                  "mode": "surface"}))
     assert dispatch(["--config", str(config), "voxelize"]) == 0
-    assert (tmp_path / "cube.nrrd").exists()
+    from rodfind import dataset as ds
+
+    # the cube's surface cells only: the 16^3 grid less its 14^3 interior
+    grid = ds.read_nrrd((tmp_path / "cube.nrrd").read_bytes())
+    assert grid.occupied_count == 16 ** 3 - 14 ** 3
 
     config.write_text(json.dumps({"per-base": 4}))
     assert dispatch(["--config", str(config), "voxelize"]) == 1

@@ -124,29 +124,43 @@ def test_readme_states_the_checkpoint_version_and_shape_parameter_count():
     assert re.findall(r"([\d,]+) shape parameters", readme) == [f"{size:,}"]
 
 
+def tape_edges(layers):
+    """(config, input edges): the edge of each convolution's input and then
+    of the pool's, read from the x.shape that a real shape_apply tape caches
+    for each (a convolution's third cache item, the pool's second)."""
+    config = enc.ShapeEncoderConfig(**{**TINY_SHAPE, "num_conv_layers": layers})
+    _, sp = enc.init_params(8, 0, enc.TextEncoderConfig(vocab_size=8, **TINY_TEXT),
+                            config)
+    _, tape = enc.shape_apply(sp, np.ones((1, 16, 16, 16)))
+    edges = [cache[2][1] for name, _, cache, _ in tape if name.startswith("conv")]
+    edges += [cache[1][1] for name, _, cache, _ in tape if name == "pool"]
+    return config, edges
+
+
 class TestShapeConfig:
-    def test_spatial_trace_matches_conv_arithmetic(self):
-        sizes, pooled = enc.ShapeEncoderConfig().spatial_trace()
-        assert [16] + sizes == [16, 16, 16, 16, 16, 6, 2, 2]
-        assert pooled == 1
+    def test_tape_edges_match_conv_arithmetic(self):
+        config, edges = tape_edges(7)
+        assert edges == [16, 16, 16, 16, 16, 6, 2, 2]
+        for edge, after, (_, _, stride, pad) in zip(edges, edges[1:],
+                                                    config.layer_plan()):
+            assert after == (edge + 2 * pad - 3) // stride + 1
 
     @pytest.mark.parametrize("layers", [3, 4, 5, 6, 7])
     def test_variable_depth_always_lands_on_the_pool(self, layers):
-        cfg = enc.ShapeEncoderConfig(num_conv_layers=layers)
-        sizes, pooled = cfg.spatial_trace()
-        assert sizes[-1] == 2 and pooled == 1
-        # the last layer's input is 2^3 at stride 3, pad 2: one live tap per
-        # window, which is what lets it store only those taps
-        assert sizes[-2] == 2 and cfg.layer_plan()[-1][2:] == (3, 2)
-        assert len(cfg.layer_plan()) == layers
+        config, edges = tape_edges(layers)
+        # the pool reads a 2^3 map; the last layer's input is 2^3 at stride
+        # 3, pad 2: one live tap per window, which is what lets it store
+        # only those taps
+        assert edges[-1] == 2
+        assert edges[-2] == 2 and config.layer_plan()[-1][2:] == (3, 2)
+        assert len(config.layer_plan()) == layers == len(edges) - 1
 
     @pytest.mark.parametrize("layers", [3, 4, 5, 6, 7])
     def test_every_stride_3_layer_pads_its_edge_to_a_multiple_of_3(self, layers):
         # then its windows tile the padded grid and read every input voxel
-        cfg = enc.ShapeEncoderConfig(num_conv_layers=layers)
-        edges = [enc.GRID_EDGE] + cfg.spatial_trace()[0]
+        config, edges = tape_edges(layers)
         pads = []
-        for edge, (_, _, stride, pad) in zip(edges, cfg.layer_plan()):
+        for edge, (_, _, stride, pad) in zip(edges, config.layer_plan()):
             if stride == 3:
                 assert (edge + 2 * pad) % 3 == 0, (edge, pad)
                 pads.append(pad)
@@ -343,11 +357,6 @@ def _edit_header(change):
 
 
 MALFORMED = {
-    "short nbytes": _edit_header(lambda h: h["params"][1].update(nbytes=4)),
-    "wrong shape": _edit_header(lambda h: h["params"][1].update(shape=[5, 6, 4])),
-    "aliasing entries": _edit_header(
-        lambda h: h["params"][3].update(offset=h["params"][1]["offset"])),
-    "no params": _edit_header(lambda h: h.pop("params")),
     "unknown config key": _edit_header(lambda h: h["text_config"].update(depth=3)),
     "non-UTF-8 header": lambda data: b'{"format": "\xff"}' + data[data.index(b"\n"):],
     "non-JSON header": lambda data: b"{format" + data[data.index(b"\n"):],
@@ -359,8 +368,7 @@ MALFORMED = {
 # config values that JSON can hold but an int field cannot: each compares
 # equal to the int it stands for in every check after the config is built
 NOT_INTEGER = {
-    "float, table to match": lambda h: (h["text_config"].update(embed_dim=6.0),
-                                        h["params"][0].update(shape=[8.0, 6.0])),
+    "float in the text config": lambda h: h["text_config"].update(embed_dim=6.0),
     "float in the shape config": lambda h: h["shape_config"].update(front_channels=2.0),
     "float outside the layout": lambda h: h["text_config"].update(max_len=8.0),
     "bool": lambda h: h["text_config"].update(max_len=True),
@@ -373,7 +381,8 @@ class TestCheckpoint:
         # they pin the file format and the initializer's draw order. The
         # parameter bytes after the header line are the version-2 files':
         # version 3 changed the header (the version, and no resolution in
-        # the shape config) but not a single drawn weight
+        # the shape config), and version 4 (the version, and no parameter
+        # table), but not a single drawn weight
         def digests(data):
             body = data[data.index(b"\n") + 1:]
             return hashlib.sha256(data).hexdigest(), hashlib.sha256(body).hexdigest()
@@ -381,17 +390,17 @@ class TestCheckpoint:
         tiny = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), {"shaft": 2},
                                     {"seed": 11})
         assert digests(tiny) == (
-            "2635210ede2f0b9e71fc5943ec3cc7c5948f710aee13f03d88a7bde7e556aea6",
+            "fc41b5d098291df89c688c71bddacd27b5ce2f340da3a38832c81827965f8253",
             "acdad7eacb289a35796ef99f7e4603d0c70766a1ea8099dc8e5c1c2534d99497")
         full = enc.checkpoint_bytes(*enc.init_params(50, 42), {}, {})
         assert digests(full) == (
-            "be33d92fcbc97650a5475cad69b5b19b5e46d2efda55077fc5b00202ad7d3917",
+            "8e10ba1be09a89884466d5b849612974ac6beefd9005ab4da70b7b8e7b990a4d",
             "496dcc0c0d5cb7ea7af50b3ba8cd3f1cb7e0804b25ff8fa45e9ac32e48ffb309")
 
     def test_version_1_checkpoint_refused_with_both_versions_named(self):
         data = _edit_header(lambda h: h.update(version=1))(
             enc.checkpoint_bytes(*tiny_params(dtype=np.float32), words(8), {}))
-        with pytest.raises(EncoderError, match="version 1 .* reads version 3"):
+        with pytest.raises(EncoderError, match="version 1 .* reads version 4"):
             parse(data)
 
     def test_version_2_checkpoint_refused_with_both_versions_named(self):
@@ -400,7 +409,15 @@ class TestCheckpoint:
         data = _edit_header(lambda h: (h.update(version=2),
                                        h["shape_config"].update(resolution=16)))(
             enc.checkpoint_bytes(*tiny_params(dtype=np.float32), words(8), {}))
-        with pytest.raises(EncoderError, match="version 2 .* reads version 3"):
+        with pytest.raises(EncoderError, match="version 2 .* reads version 4"):
+            parse(data)
+
+    def test_version_3_checkpoint_refused_with_both_versions_named(self):
+        # a version-3 file holds the same configs and bytes, and a table of
+        # parameter offsets that this version leaves out of its header
+        data = _edit_header(lambda h: h.update(version=3, params=[]))(
+            enc.checkpoint_bytes(*tiny_params(dtype=np.float32), words(8), {}))
+        with pytest.raises(EncoderError, match="version 3 .* reads version 4"):
             parse(data)
 
     @pytest.mark.parametrize("corrupt", MALFORMED.values(), ids=MALFORMED.keys())
@@ -457,12 +474,24 @@ class TestCheckpoint:
             enc.load_checkpoint(path)
 
     def test_blob_truncated_in_the_text_buffer_names_the_entry(self):
+        # the file's two entries after the header are the text and the
+        # shape buffer; the error names the one cut short and its bytes
         tp, sp = tiny_params(dtype=np.float32)
         data = enc.checkpoint_bytes(tp, sp, words(8), {})
         start = data.index(b"\n") + 1
         embed = tp.arrays["embed"].nbytes
-        with pytest.raises(EncoderError, match="truncated at text.conv1_w$"):
+        with pytest.raises(EncoderError, match=(
+                f"truncated in the text buffer: {embed + 4} of its "
+                f"{tp.flat.nbytes} bytes$")):
             parse(data[:start + embed + 4])
+
+    def test_blob_truncated_in_the_shape_buffer_names_it(self):
+        tp, sp = tiny_params(dtype=np.float32)
+        data = enc.checkpoint_bytes(tp, sp, words(8), {})
+        with pytest.raises(EncoderError, match=(
+                f"truncated in the shape buffer: {sp.flat.nbytes - 1} of its "
+                f"{sp.flat.nbytes} bytes$")):
+            parse(data[:-1])
 
     def test_loading_peaks_below_one_and_a_quarter_file_sizes(self, tmp_path):
         # each buffer is read straight into its array; reading the whole
