@@ -1,10 +1,11 @@
 """rodfind: text-to-shape retrieval for parametric linking rods.
 
-Library layout mirrors the pipeline: taxonomy (feature schema and canonical
-text), geometry (CSG solids, STL, voxel grids), dataset (paired corpus and
-its codecs), encoders (text and shape networks), training (bidirectional
-triplet objective), doe (orthogonal-experiment tuning), retrieval (gallery
-index and queries), cli (batch front end).
+Library layout mirrors the pipeline: taxonomy (the one shipped linking-rod
+feature schema, which every function reads through `default_schema()`, and
+canonical text), geometry (CSG solids, STL, voxel grids), dataset (paired
+corpus and its codecs), encoders (text and shape networks), training
+(bidirectional triplet objective), doe (orthogonal-experiment tuning),
+retrieval (gallery index and queries), cli (batch front end).
 
 The submodules load on first attribute access (PEP 562), so importing the
 package loads no numpy and `rodfind --threads` can still pin the BLAS pool.
@@ -19,7 +20,6 @@ from .taxonomy import (
     LinkingRodSpec,
     SizeClass,
     default_schema,
-    load_schema,
     parse_text,
     render_text,
     spec_to_triplets,

@@ -26,9 +26,13 @@ def _data_root(value: str | None) -> Path:
 def _at_least_one(text: str) -> int:
     """`--threads` and `query --k`: an integer of at least 1; argparse
     names the option in its message."""
-    value = int(text)  # argparse reports a ValueError
+    message = f"must be an integer of at least 1, got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+        raise argparse.ArgumentTypeError(message)
     return value
 
 

@@ -23,7 +23,6 @@ from .geometry import (
     voxelize_solid,
 )
 from .taxonomy import (
-    FeatureSchema,
     LinkingRodSpec,
     SizeClass,
     default_schema,
@@ -361,7 +360,7 @@ def base_prefix(index: int) -> str:
 def _size_slots(structure, pair, schema):
     """Ordered (entity, attribute) slots for every applicable size attribute."""
     slots = []
-    present = set(structure) | set(pair or ())
+    present = set(structure) | set(pair)
     for ent in schema.entities:
         if ent.name not in present:
             continue
@@ -373,18 +372,16 @@ def _size_slots(structure, pair, schema):
 
 
 def _pair_style(pair, schema):
-    if not pair:
-        return None
-    for style, names in schema.hole_pairs:
-        if tuple(names) == tuple(pair):
-            return style
-    raise DatasetError(f"{pair} is not a known hole-pair")
+    found = schema.hole_pair(pair)
+    if found is None or found[1] != tuple(pair):
+        raise DatasetError(f"{pair} is not a known hole-pair")
+    return found[0]
 
 
-def enumerate_size_combos(structure, pair, schema=None):
+def enumerate_size_combos(structure, pair):
     """All admissible size-class combinations, lexicographic over
     (slot order, class order)."""
-    schema = schema or default_schema()
+    schema = default_schema()
     slots = _size_slots(structure, pair, schema)
     style = _pair_style(pair, schema)
     classes = list(SizeClass)
@@ -392,21 +389,18 @@ def enumerate_size_combos(structure, pair, schema=None):
     # first, so r runs over the combinations in lexicographic order
     digits = np.indices((len(classes),) * len(slots), dtype=np.int8).reshape(
         len(slots), len(classes) ** len(slots))
-    if style is not None:
-        a, b = pair
-        inner_a, inner_b, outer_a, outer_b = (
-            digits[slots.index((entity, attr))]
-            for attr in ("inner diameter", "outer diameter") for entity in (a, b))
-        if style == "larger_smaller":
-            # keep class and millimetre orderings consistent with the naming
-            digits = digits[:, (inner_a > inner_b) & (outer_a >= outer_b)]
-        else:
-            digits = digits[:, inner_a == inner_b]
-    # zipping the slots' class columns builds each tuple once; with no slots
-    # the product holds one empty combination, which zip would not yield
+    a, b = pair
+    inner_a, inner_b, outer_a, outer_b = (
+        digits[slots.index((entity, attr))]
+        for attr in ("inner diameter", "outer diameter") for entity in (a, b))
+    if style == "larger_smaller":
+        # keep class and millimetre orderings consistent with the naming
+        digits = digits[:, (inner_a > inner_b) & (outer_a >= outer_b)]
+    else:
+        digits = digits[:, inner_a == inner_b]
+    # zipping the slots' class columns builds each tuple once
     columns = np.array(classes, dtype=object)[digits]
-    combos = list(zip(*columns)) if slots else [()]
-    return slots, combos
+    return slots, list(zip(*columns))
 
 
 def _distribute(total, groups):
@@ -414,21 +408,17 @@ def _distribute(total, groups):
     return [base + (1 if i < extra else 0) for i in range(groups)]
 
 
-def generate_variants(bases=15, per_base=None, total=None, seed: int = 0,
-                      schema: FeatureSchema | None = None,
+def generate_variants(bases: int = 15, per_base=None, total=None, seed: int = 0,
                       with_grids: bool = True) -> list[Sample]:
-    """Generate the paired corpus.
+    """Generate the paired corpus from the first `bases` shipped base rods.
 
-    `bases` is a count (first n shipped bases) or a list of (structure, pair)
-    entries. Either pass `per_base` (same count for every base) or `total`
+    Either pass `per_base` (same count for every base) or `total`
     (distributed as evenly as possible). Each variant keeps its base's
     structure and differs in the size-class combination; combinations are
     unique within a base, so every text is unique. Each grid is
     GRID_EDGE^3, the edge the shape encoder reads. Deterministic for a seed.
     """
-    schema = schema or default_schema()
-    if isinstance(bases, int):
-        bases = base_structures(bases)
+    bases = base_structures(bases)
     if total is not None and per_base is not None:
         raise DatasetError("pass either per_base or total, not both")
     for name, value in (("per_base", per_base), ("total", total)):
@@ -450,16 +440,13 @@ def generate_variants(bases=15, per_base=None, total=None, seed: int = 0,
 
     samples = []
     for index, ((structure, pair), count) in enumerate(zip(bases, counts)):
-        slots, combos = enumerate_size_combos(structure, pair, schema)
+        slots, combos = enumerate_size_combos(structure, pair)
         if count > len(combos):
             raise DatasetError(
                 f"base {index}: requested {count} variants but only "
                 f"{len(combos)} distinct size-class combinations exist")
-        if count < len(combos):
-            rng = np.random.default_rng([seed, index])
-            chosen = sorted(rng.permutation(len(combos))[:count])
-        else:
-            chosen = range(len(combos))
+        rng = np.random.default_rng([seed, index])
+        chosen = sorted(rng.permutation(len(combos))[:count])
         prefix = base_prefix(index)
         for serial, combo_index in enumerate(chosen, start=1):
             combo = combos[combo_index]
@@ -468,15 +455,15 @@ def generate_variants(bases=15, per_base=None, total=None, seed: int = 0,
                 sizes.setdefault(entity, {})[attr] = cls
             spec = LinkingRodSpec(
                 {e: dict(a) for e, a in structure.items()}, sizes)
-            report = validate_spec(spec, schema)
+            report = validate_spec(spec)
             if not report.ok:
                 raise DatasetError(
                     f"base {index} produced an invalid variant: {report.violations}")
             sample_id = f"{prefix}{serial:03d}"
-            text = render_text(spec, schema)
+            text = render_text(spec)
             grid = None
             if with_grids:
-                solid = build_solid(spec, concrete_sizes(spec, schema), schema)
+                solid = build_solid(spec, concrete_sizes(spec))
                 grid = voxelize_solid(solid, GRID_EDGE)
             samples.append(Sample(sample_id, spec, text, grid))
     return samples

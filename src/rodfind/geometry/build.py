@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ..errors import BuildError, SpecError
-from ..taxonomy import FeatureSchema, LinkingRodSpec, SizeClass, default_schema, validate_spec
+from ..taxonomy import LinkingRodSpec, SizeClass, default_schema, validate_spec
 from .solids import ArcSlab, Cuboid, Cylinder, Difference, Union, solid_aabb
 
 WORKING_CUBE_MM = 64.0
@@ -47,12 +47,10 @@ def mm_value(cls: SizeClass, reference: float) -> float:
     return BAND_MIDPOINTS[cls] * reference
 
 
-def concrete_sizes(spec: LinkingRodSpec,
-                   schema: FeatureSchema | None = None) -> dict[tuple[str, str], float]:
+def concrete_sizes(spec: LinkingRodSpec) -> dict[tuple[str, str], float]:
     """Deterministic mm value for every assigned size attribute (band midpoint
     of its class times the attribute's reference dimension)."""
-    schema = schema or default_schema()
-    hole_names = schema.hole_entity_names
+    hole_names = default_schema().hole_entity_names
     sizes: dict[tuple[str, str], float] = {}
     for entity, attrs in spec.sizes.items():
         family = "hole" if entity in hole_names else entity
@@ -150,9 +148,7 @@ def _lightening_hole(spec, sizes, shaft, apex, length):
     return Cylinder(apex, r, spans[axis], axis=axis)
 
 
-def build_solid(spec: LinkingRodSpec,
-                sizes: dict[tuple[str, str], float],
-                schema: FeatureSchema | None = None):
+def build_solid(spec: LinkingRodSpec, sizes: dict[tuple[str, str], float]):
     """Assemble the CSG tree for a valid spec with concrete mm sizes.
 
     Shape: difference(union(hub bodies..., shaft body), bore, bore[, hole]);
@@ -160,8 +156,7 @@ def build_solid(spec: LinkingRodSpec,
     hole through every hub body and the shaft alike. Deterministic for
     fixed inputs.
     """
-    schema = schema or default_schema()
-    report = validate_spec(spec, schema)
+    report = validate_spec(spec)
     if not report.ok:
         raise SpecError("cannot build an invalid spec", report.violations)
 
@@ -169,12 +164,11 @@ def build_solid(spec: LinkingRodSpec,
         if not (value > 0 and math.isfinite(value)):
             raise BuildError(f"size {key} must be positive and finite, got {value}")
 
-    holes = [n for n in spec.entity_names() if n in schema.hole_entity_names]
-    pair = next(((a, b) for _, (a, b) in schema.hole_pairs
-                 if a in holes and b in holes), None)
-    if pair is None:
+    names = spec.entity_names()
+    found = default_schema().hole_pair(names)
+    if found is None or not set(found[1]) <= set(names):
         raise BuildError("spec does not declare a full pivot-hole pair")
-    left, right = pair
+    left, right = found[1]
 
     length = _get(sizes, "shaft", "length")
     positions = {left: -length / 2.0, right: length / 2.0}

@@ -26,7 +26,8 @@ from .dataset import Vocabulary, tokenize
 from .errors import RetrievalError
 from .geometry import VoxelGrid
 from .geometry.stl import _CUBE_FACES
-from .taxonomy import default_schema, parse_text, render_text
+# `default_schema` is unused here; perfbench's tracer patches it in this namespace
+from .taxonomy import default_schema, parse_text, render_text  # noqa: F401
 from .training import embed_shapes, pairwise_distances, squared_norms
 
 DEFAULT_K = 8
@@ -197,9 +198,8 @@ def query(text: str, index: ShapeIndex, checkpoint: enc.Checkpoint,
             "index was built from a different checkpoint "
             f"({index.fingerprint[:12]}... vs {checkpoint.fingerprint[:12]}...); "
             "embeddings from different training runs are not comparable")
-    schema = default_schema()
-    spec = parse_text(text, schema, lenient=lenient)
-    canonical = render_text(spec, schema)
+    spec = parse_text(text, lenient=lenient)
+    canonical = render_text(spec)
 
     vocab = Vocabulary(dict(checkpoint.vocab_words))
     seq = tokenize(canonical, vocab, checkpoint.text.config.max_len)

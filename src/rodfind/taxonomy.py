@@ -1,8 +1,8 @@
 """Linking-rod feature schema: spec validation, triplets, canonical text.
 
 The schema (entities, attributes, enumerated values) lives in a JSON data
-file so that new part families can be described without code changes; only
-the shipped linking-rod schema is validated end to end.
+file shipped with the package; every function here reads it through
+`default_schema()`.
 """
 
 from __future__ import annotations
@@ -105,6 +105,15 @@ class FeatureSchema:
     @property
     def hole_entity_names(self) -> frozenset[str]:
         return frozenset(n for _, pair in self.hole_pairs for n in pair)
+
+    def hole_pair(self, names) -> tuple[str, tuple[str, str]] | None:
+        """The (style, (a, b)) naming pair that `names` use: the first pair,
+        in schema order, with both holes among them, failing that the first
+        with one; None when they name no pivot hole."""
+        names = set(names)
+        named = [(style, pair) for style, pair in self.hole_pairs if names & set(pair)]
+        full = [entry for entry in named if names >= set(entry[1])]
+        return next(iter(full or named), None)
 
     def terms(self) -> frozenset[str]:
         """Every word of the schema vocabulary (entities, attributes, values)."""
@@ -272,13 +281,13 @@ def _resolve_violations(spec: LinkingRodSpec, schema: FeatureSchema) -> list[str
     return out
 
 
-def validate_spec(spec: LinkingRodSpec, schema: FeatureSchema | None = None) -> ValidationReport:
+def validate_spec(spec: LinkingRodSpec) -> ValidationReport:
     """Full validity gate: resolvability, completeness, and co-constraints.
 
     Violations are data, not exceptions; callers that need a hard gate raise
     SpecError themselves.
     """
-    schema = schema or default_schema()
+    schema = default_schema()
     violations = _resolve_violations(spec, schema)
 
     # Mandatory attributes for each present entity.
@@ -297,24 +306,20 @@ def validate_spec(spec: LinkingRodSpec, schema: FeatureSchema | None = None) -> 
 
     # Co-constraints for the rod family (encoded rules, not schema data).
     if spec.link_type == "binary link":
-        if schema.entity("shaft") is not None and "shaft" not in spec.entity_names():
+        if "shaft" not in spec.entity_names():
             violations.append("missing mandatory entity: shaft")
         present = [n for n in spec.entity_names() if n in schema.hole_entity_names]
-        matched = False
-        for style, (a, b) in schema.hole_pairs:
-            if a in present and b in present and len(present) == 2:
-                matched = True
-                _check_hole_pair(spec, style, a, b, violations)
-        if not matched:
-            if len(present) == 1:
-                pair = next(((a, b) for _, (a, b) in schema.hole_pairs
-                             if present[0] in (a, b)), None)
-                missing = pair[0] if pair and pair[1] == present[0] else (pair[1] if pair else "?")
-                violations.append(f"missing mandatory entity: {missing}")
-            else:
-                violations.append(
-                    "binary link requires exactly two pivot holes forming one naming pair, "
-                    f"found {present or 'none'}")
+        found = schema.hole_pair(present)
+        if len(present) == 2 and set(found[1]) == set(present):
+            style, (a, b) = found
+            _check_hole_pair(spec, style, a, b, violations)
+        elif len(present) == 1:
+            a, b = found[1]
+            violations.append(f"missing mandatory entity: {b if a == present[0] else a}")
+        else:
+            violations.append(
+                "binary link requires exactly two pivot holes forming one naming pair, "
+                f"found {present or 'none'}")
 
     return ValidationReport(not violations, violations)
 
@@ -360,12 +365,12 @@ def _attribute_items(spec: LinkingRodSpec, schema: FeatureSchema):
                 yield ent.name, attr.name, sizes[attr.name].label
 
 
-def spec_to_triplets(spec: LinkingRodSpec, schema: FeatureSchema | None = None) -> list[FeatureTriplet]:
+def spec_to_triplets(spec: LinkingRodSpec) -> list[FeatureTriplet]:
     """Canonical triplet list: a structural-feature link per present entity
     plus one triplet per assigned attribute, in schema order. A resolvable
     spec assigns every entity it names at least one schema attribute, so
     the attribute items name every present entity."""
-    schema = schema or default_schema()
+    schema = default_schema()
     _require_resolvable(spec, schema)
     triplets = []
     for entity, items in groupby(_attribute_items(spec, schema), key=lambda item: item[0]):
@@ -374,11 +379,11 @@ def spec_to_triplets(spec: LinkingRodSpec, schema: FeatureSchema | None = None) 
     return triplets
 
 
-def render_text(spec: LinkingRodSpec, schema: FeatureSchema | None = None) -> str:
+def render_text(spec: LinkingRodSpec) -> str:
     """Canonical description: one sentence per assigned attribute, pattern
     "the <attribute> of the <entity> is <value>", semicolon separated,
     first letter capitalized, final period."""
-    schema = schema or default_schema()
+    schema = default_schema()
     _require_resolvable(spec, schema)
     sentences = [
         f"the {attr} of the {entity} is {value}"
@@ -401,8 +406,7 @@ def _resolve_name(phrase: str, names: list[str], what: str) -> str:
     raise ParseError(f"unknown {what} {phrase!r}")
 
 
-def parse_text(text: str, schema: FeatureSchema | None = None, *,
-               lenient: bool = False) -> LinkingRodSpec:
+def parse_text(text: str, *, lenient: bool = False) -> LinkingRodSpec:
     """Inverse of render_text.
 
     Strict mode raises ParseError on the first unrecognizable sentence; in
@@ -410,7 +414,7 @@ def parse_text(text: str, schema: FeatureSchema | None = None, *,
     recognized sentence is still applied.  A text with no recognizable
     sentence is an error in both modes.
     """
-    schema = schema or default_schema()
+    schema = default_schema()
     structure: dict[str, dict[str, str]] = {}
     sizes: dict[str, dict[str, SizeClass]] = {}
     recognized = 0

@@ -1,10 +1,16 @@
+import os
 import subprocess
 from pathlib import Path
 
-import numpy as np
-import pytest
+# One BLAS/OpenMP thread, set before numpy loads: the pool size changes the
+# order of floating-point sums, so trained figures would depend on the host
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from rodfind import LinkingRodSpec
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from rodfind import LinkingRodSpec  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

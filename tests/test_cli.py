@@ -105,7 +105,22 @@ def test_threads_below_one_is_usage_error(threads, capsys):
     assert dispatch(["--threads", threads, "eval", "--checkpoint", "missing.ckpt",
                      "--manifest", "missing.csv"]) == 1
     err = capsys.readouterr().err
-    assert f"argument --threads: must be at least 1, got '{threads}'" in err
+    assert f"argument --threads: must be an integer of at least 1, got '{threads}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threads", "x", "gen-dataset"],
+    ["query", "--index", "missing.idx", "--checkpoint", "missing.ckpt",
+     "--text", "the shaft", "--k", "x"],
+    ["eval", "--checkpoint", "missing.ckpt", "--manifest", "missing.csv", "--k", "1,x"],
+], ids=["threads", "query k", "eval k"])
+def test_non_integer_count_names_the_option_not_the_parser(argv, capsys):
+    # one message for a non-integer and a below-one count, and none names a
+    # private function of the CLI
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "must be an integer of at least 1, got 'x'" in err
+    assert "_at_least_one" not in err and "_k_values" not in err
 
 
 def test_readme_command_lines_parse():

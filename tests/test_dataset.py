@@ -9,9 +9,7 @@ from rodfind import dataset as ds
 from rodfind import parse_text
 from rodfind.errors import DatasetError, ManifestError, NrrdError
 from rodfind.geometry import VoxelGrid
-from rodfind.taxonomy import SizeClass, default_schema, load_schema
-
-from test_taxonomy import small_schema
+from rodfind.taxonomy import SizeClass, default_schema
 
 
 def random_grid(rng, n=16):
@@ -44,20 +42,20 @@ class TestGenerate:
             "AAA001", "AAA002", "AAA003", "AAB001", "AAB002", "AAB003"]
 
     def test_exhaustive_enumeration_when_counts_match(self):
-        schema = small_schema()
-        structure = {"body": {"main structure": "bar"}}
-        slots, combos = ds.enumerate_size_combos(structure, pair=None, schema=schema)
-        assert len(slots) == 2 and len(combos) == 9
-        samples = ds.generate_variants([(structure, ())], per_base=9, seed=3,
-                                       schema=schema, with_grids=False)
-        assert len({s.text for s in samples}) == 9  # every combination exactly once
+        # base 0 has 9 size slots and a first/second pair, whose equal inner
+        # diameters leave 3^8 = 6561 combinations
+        (structure, pair), = ds.base_structures(1)
+        slots, combos = ds.enumerate_size_combos(structure, pair)
+        assert len(slots) == 9 and len(combos) == 6561
+        with pytest.warns(ds.DatasetWarning):  # far above the usual 48-64
+            samples = ds.generate_variants(bases=1, per_base=6561, seed=3,
+                                           with_grids=False)
+        # every combination exactly once, and distinct specs give distinct texts
+        assert len({s.text for s in samples}) == 6561
 
     def test_over_request_reports_maximum(self):
-        schema = small_schema()
-        structure = {"body": {"main structure": "bar"}}
-        with pytest.raises(DatasetError, match="9"):
-            ds.generate_variants([(structure, ())], per_base=10, seed=0,
-                                 schema=schema, with_grids=False)
+        with pytest.warns(ds.DatasetWarning), pytest.raises(DatasetError, match="6561"):
+            ds.generate_variants(bases=1, per_base=6562, seed=0, with_grids=False)
 
     @pytest.mark.parametrize("counts", [dict(per_base=0), dict(per_base=-1),
                                         dict(total=0), dict(total=-5)],
@@ -87,9 +85,10 @@ class TestGenerate:
         assert len(size_combos) == 10
 
 
-def reference_size_combos(structure, pair, schema):
+def reference_size_combos(structure, pair):
     """Every size-class tuple over the slots, filtered one by one by the
     hole-pair naming's rule."""
+    schema = default_schema()
     slots = ds._size_slots(structure, pair, schema)
     style = next(style for style, names in schema.hole_pairs if tuple(names) == pair)
     a, b = pair
@@ -108,27 +107,16 @@ def reference_size_combos(structure, pair, schema):
 
 class TestEnumerateSizeCombos:
     def test_matches_the_per_tuple_reference_in_order(self):
-        schema = default_schema()
         # bases 0-2 name their hole pairs first/second, left-side/right-side
         # and larger/smaller, which covers both filtering rules
         bases = ds.base_structures(3)
         assert len({pair for _, pair in bases}) == 3
         for structure, pair in bases:
-            slots, combos = ds.enumerate_size_combos(structure, pair, schema)
-            want_slots, want = reference_size_combos(structure, pair, schema)
+            slots, combos = ds.enumerate_size_combos(structure, pair)
+            want_slots, want = reference_size_combos(structure, pair)
             assert slots == want_slots
             assert combos == want
             assert all(type(c) is SizeClass for c in combos[0])
-
-    def test_no_size_slots_give_one_empty_combination(self):
-        schema = load_schema({
-            "name": "plain part", "root": "part",
-            "entities": [{"name": "part", "attributes": []},
-                         {"name": "body", "attributes": [
-                             {"name": "main structure", "kind": "structure",
-                              "values": ["bar"]}]}]})
-        structure = {"body": {"main structure": "bar"}}
-        assert ds.enumerate_size_combos(structure, None, schema) == ([], [()])
 
 
 class TestVocabulary:

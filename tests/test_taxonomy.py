@@ -1,13 +1,15 @@
-import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rodfind import dataset as ds
 from rodfind import (
     FeatureTriplet,
     LinkingRodSpec,
     SizeClass,
     default_schema,
-    load_schema,
     parse_text,
     render_text,
     spec_to_triplets,
@@ -200,38 +202,27 @@ class TestParse:
             parse_text(text)
 
 
-def small_schema():
-    return load_schema({
-        "name": "test part",
-        "root": "part",
-        "entities": [
-            {"name": "part", "attributes": []},
-            {"name": "body", "attributes": [
-                {"name": "main structure", "kind": "structure", "values": ["bar", "tube"]},
-                {"name": "length", "kind": "size"},
-                {"name": "girth", "kind": "size"},
-            ]},
-        ],
-    })
+@lru_cache(maxsize=None)
+def base_combos(index):
+    structure, pair = ds.base_structures(index + 1)[index]
+    slots, combos = ds.enumerate_size_combos(structure, pair)
+    return structure, slots, combos
 
 
 class TestRoundTripProperty:
-    def test_round_trip_over_all_small_schema_specs(self):
-        schema = small_schema()
-        specs = []
-        for struct in ("bar", "tube"):
-            for length in SizeClass:
-                for girth in SizeClass:
-                    specs.append(LinkingRodSpec(
-                        structure={"body": {"main structure": struct}},
-                        sizes={"body": {"length": length, "girth": girth}}))
-        texts = set()
-        for spec in specs:
-            text = render_text(spec, schema)
-            texts.add(text)
-            assert parse_text(text, schema) == spec
-        # injectivity: distinct specs produce distinct canonical texts
-        assert len(texts) == len(specs)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_round_trip_over_shipped_base_variants(self, data):
+        # a spec built as generate_variants builds it, from any shipped base
+        # and any admissible size-class combination
+        structure, slots, combos = base_combos(data.draw(st.integers(0, 14), label="base"))
+        combo = combos[data.draw(st.integers(0, len(combos) - 1), label="combo")]
+        sizes = {}
+        for (entity, attr), cls in zip(slots, combo):
+            sizes.setdefault(entity, {})[attr] = cls
+        spec = LinkingRodSpec({e: dict(a) for e, a in structure.items()}, sizes)
+        assert validate_spec(spec).ok
+        assert parse_text(render_text(spec)) == spec
 
     def test_round_trip_random_rod_specs(self):
         import numpy as np
