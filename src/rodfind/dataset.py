@@ -1,5 +1,9 @@
 """Paired text/voxel corpus: variant generation from 15 base rods, NRRD and
-CSV codecs, vocabulary building, tokenization, and train/val splitting."""
+CSV codecs, vocabulary building, tokenization, and train/val splitting.
+
+The codecs check what they read and the generators check their arguments;
+values built here (variant specs, token sequences) are not re-checked.
+`build_solid` validates every spec it builds a grid from."""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +32,6 @@ from .taxonomy import (
     SizeClass,
     default_schema,
     render_text,
-    validate_spec,
 )
 
 PAD_ID = 0
@@ -90,27 +94,13 @@ def build_vocabulary(texts, min_count: int = DEFAULT_MIN_COUNT) -> Vocabulary:
     return Vocabulary({w: i + 2 for i, w in enumerate(kept)})
 
 
-@dataclass
-class TokenSequence:
-    """Fixed-length token ids, right-padded with PAD beyond true_length."""
+class TokenSequence(NamedTuple):
+    """Fixed-length int32 token ids, right-padded with PAD beyond
+    true_length. Only `tokenize` builds one; the text encoder checks every
+    token batch it receives."""
 
     tokens: np.ndarray
     true_length: int
-
-    def __post_init__(self):
-        self.tokens = np.ascontiguousarray(self.tokens, dtype=np.int32)
-        if self.tokens.ndim != 1:
-            raise DatasetError("token sequence must be one-dimensional")
-        if not 0 <= self.true_length <= len(self.tokens):
-            raise DatasetError("true_length out of range")
-        if (self.tokens[self.true_length:] != PAD_ID).any():
-            raise DatasetError("tokens beyond true_length must be PAD")
-
-    def __eq__(self, other):
-        if not isinstance(other, TokenSequence):
-            return NotImplemented
-        return (self.true_length == other.true_length
-                and np.array_equal(self.tokens, other.tokens))
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int = MAX_WORDS) -> TokenSequence:
@@ -348,12 +338,6 @@ def base_structures(count: int = 15) -> list[tuple[dict, tuple[str, str]]]:
             for structure, pair in _BASE_TABLE[:count]]
 
 
-def base_prefix(index: int) -> str:
-    if not 0 <= index < 26:
-        raise DatasetError("base index out of range for AAx prefixes")
-    return "AA" + chr(ord("A") + index)
-
-
 # ---------------------------------------------------------------------------
 # Variant generation
 
@@ -415,7 +399,8 @@ def generate_variants(bases: int = 15, per_base=None, total=None, seed: int = 0,
     Either pass `per_base` (same count for every base) or `total`
     (distributed as evenly as possible). Each variant keeps its base's
     structure and differs in the size-class combination; combinations are
-    unique within a base, so every text is unique. Each grid is
+    unique within a base, so every text is unique, and each one satisfies
+    the hole-pair rule `enumerate_size_combos` filters on. Each grid is
     GRID_EDGE^3, the edge the shape encoder reads. Deterministic for a seed.
     """
     bases = base_structures(bases)
@@ -447,7 +432,7 @@ def generate_variants(bases: int = 15, per_base=None, total=None, seed: int = 0,
                 f"{len(combos)} distinct size-class combinations exist")
         rng = np.random.default_rng([seed, index])
         chosen = sorted(rng.permutation(len(combos))[:count])
-        prefix = base_prefix(index)
+        prefix = "AA" + chr(ord("A") + index)
         for serial, combo_index in enumerate(chosen, start=1):
             combo = combos[combo_index]
             sizes: dict[str, dict[str, SizeClass]] = {}
@@ -455,10 +440,6 @@ def generate_variants(bases: int = 15, per_base=None, total=None, seed: int = 0,
                 sizes.setdefault(entity, {})[attr] = cls
             spec = LinkingRodSpec(
                 {e: dict(a) for e, a in structure.items()}, sizes)
-            report = validate_spec(spec)
-            if not report.ok:
-                raise DatasetError(
-                    f"base {index} produced an invalid variant: {report.violations}")
             sample_id = f"{prefix}{serial:03d}"
             text = render_text(spec)
             grid = None

@@ -1,12 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each refuses something that comes from outside the program: a spec, text,
+array or option a caller passes, or a file read back (checkpoint, index,
+manifest, NRRD, STL). Data the package ships or builds itself, such as the
+feature schema, is not re-checked at run time."""
 
 
 class RodfindError(Exception):
     """Base class for all toolkit errors."""
-
-
-class SchemaError(RodfindError):
-    """Schema document is malformed or internally inconsistent."""
 
 
 class SpecError(RodfindError):

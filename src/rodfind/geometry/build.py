@@ -164,11 +164,8 @@ def build_solid(spec: LinkingRodSpec, sizes: dict[tuple[str, str], float]):
         if not (value > 0 and math.isfinite(value)):
             raise BuildError(f"size {key} must be positive and finite, got {value}")
 
-    names = spec.entity_names()
-    found = default_schema().hole_pair(names)
-    if found is None or not set(found[1]) <= set(names):
-        raise BuildError("spec does not declare a full pivot-hole pair")
-    left, right = found[1]
+    # a valid spec names exactly one full pivot-hole pair
+    left, right = default_schema().hole_pair(spec.entity_names())[1]
 
     length = _get(sizes, "shaft", "length")
     positions = {left: -length / 2.0, right: length / 2.0}

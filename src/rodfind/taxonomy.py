@@ -2,7 +2,10 @@
 
 The schema (entities, attributes, enumerated values) lives in a JSON data
 file shipped with the package; every function here reads it through
-`default_schema()`.
+`default_schema()`. That file is program data, not input: it is read as it
+is, and a test holds its contract (normalized names, values on every
+structure attribute, resolvable `requires` and hole pairs). The checks here
+are on what callers pass: specs and description texts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from importlib import resources
 from itertools import groupby
 from typing import NamedTuple
 
-from .errors import ParseError, ParseWarning, SchemaError, SpecError
+from .errors import ParseError, ParseWarning, SpecError
 
 RELATION = "structural feature"
 
@@ -57,10 +60,10 @@ def _as_class(value) -> SizeClass:
 class Attribute:
     name: str
     kind: str  # "structure" | "size"
-    values: tuple[str, ...] = ()
-    optional: bool = False
+    values: tuple[str, ...]
+    optional: bool
     # (other attribute name, allowed values); attribute applies only when met
-    requires: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    requires: tuple[tuple[str, tuple[str, ...]], ...]
 
     def applies(self, structure_assignments: dict[str, str]) -> bool:
         for attr, allowed in self.requires:
@@ -86,10 +89,9 @@ class Entity:
 class FeatureSchema:
     """Entity/attribute/value vocabulary of one part family."""
 
-    name: str
     root: str
     entities: tuple[Entity, ...]
-    hole_pairs: tuple[tuple[str, tuple[str, str]], ...] = ()
+    hole_pairs: tuple[tuple[str, tuple[str, str]], ...]
 
     def entity(self, name: str) -> Entity | None:
         name = _norm(name)
@@ -115,89 +117,22 @@ class FeatureSchema:
         full = [entry for entry in named if names >= set(entry[1])]
         return next(iter(full or named), None)
 
-    def terms(self) -> frozenset[str]:
-        """Every word of the schema vocabulary (entities, attributes, values)."""
-        words: set[str] = set()
-        for ent in self.entities:
-            words.update(ent.name.split())
-            for attr in ent.attributes:
-                words.update(attr.name.split())
-                for value in attr.values:
-                    words.update(value.split())
-        words.update(c.label for c in SizeClass)
-        return frozenset(words)
-
-
-def load_schema(data: dict) -> FeatureSchema:
-    """Build a FeatureSchema from parsed JSON, checking well-formedness."""
-    try:
-        root = _norm(data["root"])
-        raw_entities = data["entities"]
-    except KeyError as exc:
-        raise SchemaError(f"schema missing required field {exc}") from None
-
-    entities = []
-    for raw in raw_entities:
-        attrs = []
-        seen = set()
-        for a in raw.get("attributes", ()):
-            name = _norm(a["name"])
-            if name in seen:
-                raise SchemaError(
-                    f"duplicate attribute {name!r} in entity {raw['name']!r}")
-            seen.add(name)
-            kind = a.get("kind", "structure")
-            if kind not in ("structure", "size"):
-                raise SchemaError(f"attribute {name!r}: unknown kind {kind!r}")
-            values = tuple(_norm(v) for v in a.get("values", ()))
-            if kind == "structure" and not values:
-                raise SchemaError(f"structure attribute {name!r} has no values")
-            if kind == "size" and values:
-                raise SchemaError(f"size attribute {name!r} must not list values")
-            if len(set(values)) != len(values):
-                raise SchemaError(f"attribute {name!r} has duplicate values")
-            requires = tuple(
-                (_norm(k), tuple(_norm(v) for v in vs))
-                for k, vs in a.get("requires", {}).items())
-            attrs.append(Attribute(name, kind, values, bool(a.get("optional")), requires))
-        entities.append(Entity(_norm(raw["name"]), tuple(attrs)))
-
-    names = [e.name for e in entities]
-    if len(set(names)) != len(names):
-        raise SchemaError("duplicate entity names")
-    if root not in names:
-        raise SchemaError(f"root entity {root!r} not defined")
-
-    for ent in entities:
-        for attr in ent.attributes:
-            for req_attr, req_values in attr.requires:
-                target = ent.attribute(req_attr)
-                if target is None:
-                    raise SchemaError(
-                        f"{ent.name}.{attr.name} requires unknown attribute {req_attr!r}")
-                for v in req_values:
-                    if v not in target.values:
-                        raise SchemaError(
-                            f"{ent.name}.{attr.name} requires unknown value {v!r}")
-
-    pairs = tuple(
-        (style, (_norm(a), _norm(b)))
-        for style, (a, b) in data.get("hole_pairs", {}).items())
-    for _, (a, b) in pairs:
-        if a not in names or b not in names:
-            raise SchemaError(f"hole pair references unknown entity: {a!r}/{b!r}")
-
-    return FeatureSchema(_norm(data.get("name", root)), root, tuple(entities), pairs)
-
 
 @lru_cache(maxsize=1)
 def default_schema() -> FeatureSchema:
-    """The shipped linking-rod schema (eight feature entities under the root)."""
+    """The shipped linking-rod schema (eight feature entities under the
+    root), read as it is: the file's names are already normalized, and a
+    test holds its contract."""
     text = resources.files("rodfind.data").joinpath("linking_rod_schema.json").read_text("utf-8")
-    schema = load_schema(json.loads(text))
-    if len(schema.feature_entities) != 8:
-        raise SchemaError("linking-rod schema must define exactly 8 feature entities")
-    return schema
+    data = json.loads(text)
+    entities = tuple(
+        Entity(raw["name"], tuple(
+            Attribute(a["name"], a["kind"], tuple(a.get("values", ())), a.get("optional", False),
+                      tuple((k, tuple(vs)) for k, vs in a.get("requires", {}).items()))
+            for a in raw["attributes"]))
+        for raw in data["entities"])
+    pairs = tuple((style, tuple(pair)) for style, pair in data["hole_pairs"].items())
+    return FeatureSchema(data["root"], entities, pairs)
 
 
 class FeatureTriplet(NamedTuple):
@@ -226,20 +161,11 @@ class LinkingRodSpec:
         names.extend(n for n in self.sizes if n not in self.structure)
         return names
 
-    @property
-    def link_type(self) -> str | None:
-        return self.structure.get("link", {}).get("main structure")
-
     def structure_of(self, entity: str) -> dict[str, str]:
         return self.structure.get(_norm(entity), {})
 
     def size_of(self, entity: str, attr: str) -> SizeClass | None:
         return self.sizes.get(_norm(entity), {}).get(_norm(attr))
-
-    def replace_sizes(self, sizes: dict[str, dict[str, SizeClass]]) -> "LinkingRodSpec":
-        return LinkingRodSpec(
-            {e: dict(a) for e, a in self.structure.items()},
-            {e: dict(a) for e, a in sizes.items()})
 
 
 @dataclass
@@ -305,21 +231,21 @@ def validate_spec(spec: LinkingRodSpec) -> ValidationReport:
                 violations.append(f"{ename}: missing mandatory attribute {attr.name!r}")
 
     # Co-constraints for the rod family (encoded rules, not schema data).
-    if spec.link_type == "binary link":
-        if "shaft" not in spec.entity_names():
-            violations.append("missing mandatory entity: shaft")
-        present = [n for n in spec.entity_names() if n in schema.hole_entity_names]
-        found = schema.hole_pair(present)
-        if len(present) == 2 and set(found[1]) == set(present):
-            style, (a, b) = found
-            _check_hole_pair(spec, style, a, b, violations)
-        elif len(present) == 1:
-            a, b = found[1]
-            violations.append(f"missing mandatory entity: {b if a == present[0] else a}")
-        else:
-            violations.append(
-                "binary link requires exactly two pivot holes forming one naming pair, "
-                f"found {present or 'none'}")
+    for entity in ("link", "shaft"):
+        if entity not in spec.entity_names():
+            violations.append(f"missing mandatory entity: {entity}")
+    present = [n for n in spec.entity_names() if n in schema.hole_entity_names]
+    found = schema.hole_pair(present)
+    if len(present) == 2 and set(found[1]) == set(present):
+        style, (a, b) = found
+        _check_hole_pair(spec, style, a, b, violations)
+    elif len(present) == 1:
+        a, b = found[1]
+        violations.append(f"missing mandatory entity: {b if a == present[0] else a}")
+    else:
+        violations.append(
+            "binary link requires exactly two pivot holes forming one naming pair, "
+            f"found {present or 'none'}")
 
     return ValidationReport(not violations, violations)
 

@@ -75,6 +75,19 @@ def arc_rod_spec():
                                      "outer diameter": "large", "depth": "large"}})
 
 
+@pytest.fixture
+def unlinked_three_hole_spec():
+    """No link entity, a shaft, and pivot holes from two naming pairs: the
+    hole and shaft rules apply to it all the same."""
+    hole = {"outer diameter": "large", "depth": "medium"}
+    return LinkingRodSpec(
+        structure={"shaft": {"main structure": "cuboid"}},
+        sizes={"shaft": {"length": "large", "width": "medium", "thickness": "medium"},
+               "first pivot hole": {"inner diameter": "medium", **hole},
+               "larger pivot hole": {"inner diameter": "large", **hole},
+               "smaller pivot hole": {"inner diameter": "small", **hole}})
+
+
 def random_mesh(rng: np.random.Generator, triangles: int):
     from rodfind.geometry import TriangleMesh
 

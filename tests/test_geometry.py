@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rodfind import LinkingRodSpec
 from rodfind import geometry as geo
 from rodfind.errors import BuildError, SpecError, VoxelError
 from rodfind.geometry import voxelize
@@ -374,11 +375,18 @@ class TestBuildSolid:
         assert geo.build_solid(cuboid_rod_spec, sizes) == geo.build_solid(cuboid_rod_spec, sizes)
 
     def test_invalid_spec_rejected(self, cuboid_rod_spec):
-        broken = cuboid_rod_spec.replace_sizes(
+        broken = LinkingRodSpec(
+            cuboid_rod_spec.structure,
             {e: dict(a) for e, a in cuboid_rod_spec.sizes.items()
              if e != "second pivot hole"})
         with pytest.raises(SpecError):
             geo.build_solid(broken, geo.concrete_sizes(broken))
+
+    def test_spec_without_link_rejected(self, unlinked_three_hole_spec):
+        spec = unlinked_three_hole_spec
+        with pytest.raises(SpecError, match="invalid spec") as err:
+            geo.build_solid(spec, geo.concrete_sizes(spec))
+        assert "missing mandatory entity: link" in err.value.violations
 
     def test_band_midpoints(self, cuboid_rod_spec):
         from rodfind.geometry.build import INNER_TO_OUTER, REFERENCE_MM

@@ -16,6 +16,7 @@ from rodfind import (
     validate_spec,
 )
 from rodfind.errors import ParseError, ParseWarning, SpecError
+from rodfind.taxonomy import _norm
 
 AAJ002_TEXT = (
     "The main structure of the link is binary link; "
@@ -48,6 +49,31 @@ class TestSchema:
             names = [a.name for a in entity.attributes]
             assert len(names) == len(set(names))
 
+    def test_shipped_file_holds_the_contract_the_reader_relies_on(self):
+        # default_schema() reads the file as it is, so its contract lives here
+        schema = default_schema()
+        entity_names = [e.name for e in schema.entities]
+        assert len(entity_names) == len(set(entity_names))
+        assert schema.root in entity_names
+        for entity in schema.entities:
+            assert entity.name == _norm(entity.name)
+            attributes = {a.name: a for a in entity.attributes}
+            for attr in entity.attributes:
+                assert attr.name == _norm(attr.name)
+                assert attr.kind in ("structure", "size")
+                assert all(v == _norm(v) for v in attr.values)
+                assert len(set(attr.values)) == len(attr.values)
+                if attr.kind == "structure":
+                    assert attr.values
+                for other, allowed in attr.requires:
+                    assert other in attributes
+                    assert set(allowed) <= set(attributes[other].values)
+        for style, pair in schema.hole_pairs:
+            assert style == _norm(style)
+            assert len(pair) == 2
+            for name in pair:
+                assert name == _norm(name) and name in entity_names
+
     def test_size_attributes_use_the_three_classes(self):
         # closed enumeration: size attributes never declare their own values
         for entity in default_schema().entities:
@@ -62,12 +88,20 @@ class TestValidate:
         assert report.ok and report.violations == []
 
     def test_missing_second_hole_is_missing_mandatory_entity(self, cuboid_rod_spec):
-        spec = cuboid_rod_spec.replace_sizes(
+        spec = LinkingRodSpec(
+            cuboid_rod_spec.structure,
             {e: dict(a) for e, a in cuboid_rod_spec.sizes.items()
              if e != "second pivot hole"})
         report = validate_spec(spec)
         assert not report.ok
         assert any("missing mandatory entity" in v for v in report.violations)
+
+    def test_spec_without_link_still_gets_the_rod_rules(self, unlinked_three_hole_spec):
+        report = validate_spec(unlinked_three_hole_spec)
+        assert not report.ok
+        assert "missing mandatory entity: link" in report.violations
+        assert any("exactly two pivot holes forming one naming pair" in v
+                   for v in report.violations)
 
     def test_equal_inner_diameters_must_not_use_larger_smaller(self):
         spec = LinkingRodSpec(
@@ -85,20 +119,20 @@ class TestValidate:
     def test_differing_inner_diameters_require_larger_smaller(self, cuboid_rod_spec):
         sizes = {e: dict(a) for e, a in cuboid_rod_spec.sizes.items()}
         sizes["second pivot hole"]["inner diameter"] = SizeClass.SMALL
-        report = validate_spec(cuboid_rod_spec.replace_sizes(sizes))
+        report = validate_spec(LinkingRodSpec(cuboid_rod_spec.structure, sizes))
         assert not report.ok
         assert any("larger/smaller" in v for v in report.violations)
 
     def test_missing_mandatory_attribute(self, cuboid_rod_spec):
         sizes = {e: dict(a) for e, a in cuboid_rod_spec.sizes.items()}
         del sizes["shaft"]["width"]
-        report = validate_spec(cuboid_rod_spec.replace_sizes(sizes))
+        report = validate_spec(LinkingRodSpec(cuboid_rod_spec.structure, sizes))
         assert any("missing mandatory attribute 'width'" in v for v in report.violations)
 
     def test_inapplicable_attribute_rejected(self, cuboid_rod_spec):
         sizes = {e: dict(a) for e, a in cuboid_rod_spec.sizes.items()}
         sizes["shaft"]["radius"] = SizeClass.LARGE  # radius is arc-slab only
-        report = validate_spec(cuboid_rod_spec.replace_sizes(sizes))
+        report = validate_spec(LinkingRodSpec(cuboid_rod_spec.structure, sizes))
         assert any("not applicable" in v for v in report.violations)
 
 
@@ -148,7 +182,12 @@ class TestRender:
         assert render_text(parse_text(text)) == text
 
     def test_rendered_terms_come_from_schema_vocabulary(self, cuboid_rod_spec, arc_rod_spec):
-        allowed = set(default_schema().terms()) | {"the", "of", "is"}
+        allowed = {"the", "of", "is"} | {c.label for c in SizeClass}
+        for entity in default_schema().entities:
+            allowed.update(entity.name.split())
+            for attr in entity.attributes:
+                allowed.update(attr.name.split())
+                allowed.update(w for value in attr.values for w in value.split())
         for spec in (cuboid_rod_spec, arc_rod_spec):
             words = render_text(spec).lower().replace(";", "").replace(".", "").split()
             assert set(words) <= allowed
