@@ -30,14 +30,16 @@ print("\nmid-height slice (z = 7):")
 for row in grid.occupancy[:, :, 7].T[::-1]:
     print("  " + "".join("#" if v else "." for v in row))
 
-# the same grid is invariant under similarity transforms of the solid
-moved = geo.translate_solid(geo.scale_solid(solid, 2.0), (5.0, -3.0, 11.0))
-assert geo.voxelize_solid(moved, 16) == grid
-print("\nscale+translate invariance holds")
+# the grid frames the solid's bounding box, so scaling and moving a solid
+# leaves its grid unchanged
+small = geo.voxelize_solid(geo.Cuboid((0.0, 0.0, 0.0), (16.0, 11.0, 11.0)), 16)
+moved = geo.voxelize_solid(geo.Cuboid((5.0, -3.0, 11.0), (32.0, 22.0, 22.0)), 16)
+assert moved == small
+print("\nscale+translate invariance holds for a cuboid doubled and moved")
 
 # mesh path: a watertight cube agrees with the CSG path
 mesh = geo.cuboid_mesh((0, 0, 0), (16.0, 11.0, 11.0))
-stl_bytes = geo.write_stl(mesh, "binary")
+stl_bytes = geo.write_stl(mesh)
 parsed = geo.parse_stl(stl_bytes)
 assert parsed == mesh
 via_mesh = geo.voxelize_mesh(parsed, 16)

@@ -43,5 +43,5 @@ with tempfile.TemporaryDirectory() as tmp:
         marker = " <-- itself" if sample_id == probe.id else ""
         print(f"  {rank}. {sample_id}  d={dist:.4f}{marker}")
 
-    obj = rt.export_preview(probe.grid, "obj")
+    obj = rt.export_preview(probe.grid)
     print(f"\nOBJ preview of {probe.id}: {obj.count(b'v ')} vertex lines")

@@ -367,8 +367,7 @@ def _cmd_query(args) -> int:
         preview_dir.mkdir(parents=True, exist_ok=True)
         for sample_id, path in sources:
             grid = ds.read_nrrd(Path(path).read_bytes())
-            (preview_dir / f"{sample_id}.obj").write_bytes(
-                rt.export_preview(grid, "obj"))
+            (preview_dir / f"{sample_id}.obj").write_bytes(rt.export_preview(grid))
         print(f"previews under {preview_dir}")
     return 0
 

@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import scipy.special
@@ -177,12 +178,20 @@ class AnovaTable:
 
 def anova(design: DesignMatrix, responses) -> AnovaTable:
     """Balanced one-way decomposition: SS_factor from level sums against the
-    correction factor, residual as the leftover of the total."""
+    correction factor, residual as the leftover of the total. An SS within
+    round-off of zero is read as 0: subtracting the correction factor leaves
+    a few eps * sum(y^2), which could otherwise make an exact zero negative."""
     responses = _check_responses(design, responses)
     n = len(responses)
     total = sum(responses)
     cf = total * total / n
-    ss_total = sum(y * y for y in responses) - cf
+    squares = sum(y * y for y in responses)
+    roundoff = 64 * sys.float_info.epsilon * squares
+
+    def exact(ss):
+        return 0.0 if abs(ss) <= roundoff else ss
+
+    ss_total = exact(squares - cf)
     df_total = n - 1
 
     factor_rows = []
@@ -192,11 +201,11 @@ def anova(design: DesignMatrix, responses) -> AnovaTable:
             raise DesignError(
                 f"factor {factor.name!r} is unbalanced ({counts}); "
                 "Taguchi analysis needs balanced designs")
-        ss = sum(s * s / c for s, c in zip(sums, counts)) - cf
+        ss = exact(sum(s * s / c for s, c in zip(sums, counts)) - cf)
         df = len(factor.levels) - 1
         factor_rows.append(AnovaRow(factor.name, df, ss, ss / df, None, None))
 
-    ss_error = ss_total - sum(r.ss for r in factor_rows)
+    ss_error = exact(ss_total - sum(r.ss for r in factor_rows))
     df_error = df_total - sum(r.df for r in factor_rows)
     if df_error < 0:
         raise DesignError("more factor degrees of freedom than data rows")

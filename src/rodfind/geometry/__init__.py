@@ -6,13 +6,10 @@ from .solids import (
     Cuboid,
     Cylinder,
     Difference,
-    Intersection,
     Sphere,
     Union,
     contains,
-    scale_solid,
     solid_aabb,
-    translate_solid,
 )
 from .stl import TriangleMesh, cuboid_mesh, parse_stl, write_stl
 from .voxelize import VoxelGrid, voxelize_mesh, voxelize_solid

@@ -100,38 +100,33 @@ def _hub_parts(spec, sizes, entity, x):
 
 
 def _shaft_body(spec, sizes, length):
-    struct = spec.structure_of("shaft")
-    kind = struct.get("main structure")
     thickness = _get(sizes, "shaft", "thickness")
-    if kind == "cuboid":
+    if spec.structure_of("shaft")["main structure"] == "cuboid":
         width = _get(sizes, "shaft", "width")
         return Cuboid((0.0, 0.0, 0.0), (length, width, thickness)), None
-    if kind == "arc-shaped vertical slab":
-        radius = _get(sizes, "shaft", "radius")
-        if radius < length / 2.0:
-            raise BuildError(
-                f"arc radius ({radius:g} mm) must be at least half the shaft "
-                f"length ({length:g} mm)")
-        zc = -math.sqrt(radius ** 2 - (length / 2.0) ** 2)
-        theta_right = math.atan2(-zc, length / 2.0)
-        theta_left = math.atan2(-zc, -length / 2.0)
-        slab = ArcSlab(center=(0.0, 0.0, zc), mid_radius=radius,
-                       radial_width=0.75 * thickness, height=thickness,
-                       angle_start=theta_right,
-                       angle_sweep=theta_left - theta_right, axis=1)
-        apex = (0.0, 0.0, zc + radius)
-        return slab, apex
-    raise BuildError(f"no construction rule for shaft main structure {kind!r}")
+    # the schema's other shaft structure: an arc-shaped vertical slab
+    radius = _get(sizes, "shaft", "radius")
+    if radius < length / 2.0:
+        raise BuildError(
+            f"arc radius ({radius:g} mm) must be at least half the shaft "
+            f"length ({length:g} mm)")
+    zc = -math.sqrt(radius ** 2 - (length / 2.0) ** 2)
+    theta_right = math.atan2(-zc, length / 2.0)
+    theta_left = math.atan2(-zc, -length / 2.0)
+    slab = ArcSlab(center=(0.0, 0.0, zc), mid_radius=radius,
+                   radial_width=0.75 * thickness, height=thickness,
+                   angle_start=theta_right,
+                   angle_sweep=theta_left - theta_right, axis=1)
+    apex = (0.0, 0.0, zc + radius)
+    return slab, apex
 
 
 def _lightening_hole(spec, sizes, shaft, apex, length):
     struct = spec.structure_of("shaft")
     if struct.get("additional feature") != "hole structure":
         return None
-    direction = struct.get("hole structure direction")
-    axis = {"x direction": 0, "y direction": 1, "z direction": 2}.get(direction)
-    if axis is None:
-        raise BuildError(f"unknown hole structure direction {direction!r}")
+    axis = {"x direction": 0, "y direction": 1,
+            "z direction": 2}[struct["hole structure direction"]]
     thickness = _get(sizes, "shaft", "thickness")
     if isinstance(shaft, Cuboid):
         width = _get(sizes, "shaft", "width")

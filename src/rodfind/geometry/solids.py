@@ -129,15 +129,6 @@ class Difference:
             raise BuildError("difference needs at least two children")
 
 
-@dataclass(frozen=True)
-class Intersection:
-    children: tuple
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise BuildError("intersection needs at least two children")
-
-
 def contains(solid, points: np.ndarray) -> np.ndarray:
     """Vectorized point membership for (M, 3) points; returns bool (M,)."""
     pts = np.asarray(points, dtype=np.float64)
@@ -169,11 +160,6 @@ def contains(solid, points: np.ndarray) -> np.ndarray:
         for child in solid.children[1:]:
             out |= contains(child, pts)
         return out
-    if isinstance(solid, Intersection):
-        out = contains(solid.children[0], pts)
-        for child in solid.children[1:]:
-            out &= contains(child, pts)
-        return out
     if isinstance(solid, Difference):
         out = contains(solid.children[0], pts)
         for child in solid.children[1:]:
@@ -197,8 +183,8 @@ def _arc_candidates(slab: ArcSlab):
 
 
 def solid_aabb(solid) -> Aabb:
-    """Bounding box; exact for primitives and unions, conservative for
-    difference (first child) and intersection (box intersection)."""
+    """Bounding box; exact for primitives and unions, conservative for a
+    difference (its first child's box)."""
     if isinstance(solid, Cuboid):
         half = np.asarray(solid.size) / 2.0
         c = np.asarray(solid.center)
@@ -230,48 +216,4 @@ def solid_aabb(solid) -> Aabb:
         return box
     if isinstance(solid, Difference):
         return solid_aabb(solid.children[0])
-    if isinstance(solid, Intersection):
-        boxes = [solid_aabb(c) for c in solid.children]
-        lo = tuple(map(max, *(b.min for b in boxes)))
-        hi = tuple(map(min, *(b.max for b in boxes)))
-        return Aabb(lo, hi)
     raise BuildError(f"unknown solid node {type(solid).__name__}")
-
-
-def _map_tree(solid, prim_fn):
-    if isinstance(solid, (Union, Difference, Intersection)):
-        return type(solid)(tuple(_map_tree(c, prim_fn) for c in solid.children))
-    return prim_fn(solid)
-
-
-def translate_solid(solid, offset) -> object:
-    """Rigid translation of a whole tree by `offset` (3-vector, mm)."""
-    ox, oy, oz = (float(o) for o in offset)
-
-    def move(prim):
-        c = (prim.center[0] + ox, prim.center[1] + oy, prim.center[2] + oz)
-        return type(prim)(**{**prim.__dict__, "center": c})
-
-    return _map_tree(solid, move)
-
-
-def scale_solid(solid, factor: float) -> object:
-    """Uniform scaling about the origin by a positive factor."""
-    if not factor > 0:
-        raise BuildError(f"scale factor must be positive, got {factor}")
-
-    def scale(prim):
-        c = tuple(x * factor for x in prim.center)
-        if isinstance(prim, Cuboid):
-            return Cuboid(c, tuple(s * factor for s in prim.size))
-        if isinstance(prim, Cylinder):
-            return Cylinder(c, prim.radius * factor, prim.height * factor, prim.axis)
-        if isinstance(prim, Sphere):
-            return Sphere(c, prim.radius * factor)
-        if isinstance(prim, ArcSlab):
-            return ArcSlab(c, prim.mid_radius * factor, prim.radial_width * factor,
-                           prim.height * factor, prim.angle_start, prim.angle_sweep,
-                           prim.axis)
-        raise BuildError(f"unknown primitive {type(prim).__name__}")
-
-    return _map_tree(solid, scale)

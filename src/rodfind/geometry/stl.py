@@ -1,6 +1,6 @@
-"""STL codec: binary (80-byte header + uint32 count + 50-byte records) and
-ASCII variants, auto-detected on parse. Triangle payload round-trips
-bit-exactly through the binary form."""
+"""STL codec: parses binary (80-byte header + uint32 count + 50-byte
+records) and ASCII, auto-detected, and writes binary. Triangle payload
+round-trips bit-exactly through the binary form."""
 
 from __future__ import annotations
 
@@ -132,34 +132,14 @@ def _parse_ascii(data: bytes) -> TriangleMesh:
                         np.zeros(n, dtype=np.uint16))
 
 
-def write_stl(mesh: TriangleMesh, format: str = "binary") -> bytes:
-    if format == "binary":
-        records = np.zeros(len(mesh), dtype=_RECORD)
-        records["normal"] = mesh.normals
-        records["vertices"] = mesh.vertices
-        records["attr"] = mesh.attrs
-        header = b"rodfind binary STL".ljust(80, b"\0")
-        return header + struct.pack("<I", len(mesh)) + records.tobytes()
-    if format == "ascii":
-        def fmt(x):
-            return format_float(x)
-
-        lines = ["solid rodfind"]
-        for normal, tri in zip(mesh.normals, mesh.vertices):
-            lines.append("  facet normal " + " ".join(fmt(x) for x in normal))
-            lines.append("    outer loop")
-            for v in tri:
-                lines.append("      vertex " + " ".join(fmt(x) for x in v))
-            lines.append("    endloop")
-            lines.append("  endfacet")
-        lines.append("endsolid rodfind")
-        return ("\n".join(lines) + "\n").encode("ascii")
-    raise StlError(f"unknown STL format {format!r}")
-
-
-def format_float(x: float) -> str:
-    # 9 significant digits round-trip a float32 exactly
-    return f"{float(x):.9g}"
+def write_stl(mesh: TriangleMesh) -> bytes:
+    """Binary STL bytes of `mesh`."""
+    records = np.zeros(len(mesh), dtype=_RECORD)
+    records["normal"] = mesh.normals
+    records["vertices"] = mesh.vertices
+    records["attr"] = mesh.attrs
+    header = b"rodfind binary STL".ljust(80, b"\0")
+    return header + struct.pack("<I", len(mesh)) + records.tobytes()
 
 
 _CUBE_FACES = (

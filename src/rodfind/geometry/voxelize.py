@@ -60,10 +60,7 @@ def _check_resolution(resolution):
 def _grid_centers(box: Aabb, n: int):
     """World coordinates (n^3, 3) of voxel centers for a box normalized into
     the cube of side max(extent), centered."""
-    extent = box.extent
-    side = max(extent)
-    if not side > 0:
-        raise VoxelError("degenerate solid: zero-volume bounding box")
+    side = max(box.extent)
     center = box.center
     origin = tuple(c - side / 2.0 for c in center)
     steps = (np.arange(n, dtype=np.float64) + 0.5) * (side / n)
@@ -170,39 +167,22 @@ def _is_watertight(mesh: TriangleMesh) -> bool:
     return True
 
 
-def _ray_parity(point: np.ndarray, verts: np.ndarray) -> int:
-    """Crossing parity of a tilted ray from `point` (cell units): the
-    Moller-Trumbore test against all triangles `verts` (T, 3, 3) at once."""
-    direction = np.array([1.0, 0.5773502691896258, 0.2679491924311227])
-    v0 = verts[:, 0]
-    e1 = verts[:, 1] - v0
-    e2 = verts[:, 2] - v0
-    p = np.cross(direction, e2)
-    det = (e1 * p).sum(axis=1)
-    facing = np.abs(det) >= 1e-12  # rays parallel to a triangle never cross it
-    e1, e2, p, det = e1[facing], e2[facing], p[facing], det[facing]
-    t_vec = point - v0[facing]
-    q = np.cross(t_vec, e1)
-    u = (t_vec * p).sum(axis=1) / det
-    v = (q @ direction) / det
-    t = (e2 * q).sum(axis=1) / det
-    crossings = (u >= 0) & (u <= 1) & (v >= 0) & (u + v <= 1) & (t > 0)
-    return int(np.count_nonzero(crossings)) % 2
-
-
 def voxelize_mesh(mesh: TriangleMesh, resolution: int, *,
                   mode: str = "fill") -> VoxelGrid:
     """Voxelize a triangle mesh.
 
     mode="fill" marks surface cells (exact triangle-box overlap) and fills
-    the enclosed interior via the complement of an outside flood fill; the
-    mesh must be watertight. mode="surface" marks surface cells only.
+    the enclosed interior via the complement of an outside flood fill; a
+    mesh that is not watertight is refused before any voxel work.
+    mode="surface" marks surface cells only.
     """
     n = _check_resolution(resolution)
     if mode not in ("fill", "surface"):
         raise VoxelError(f"unknown voxelization mode {mode!r}")
     if len(mesh) == 0:
         raise VoxelError("cannot voxelize an empty mesh")
+    if mode == "fill" and not _is_watertight(mesh):
+        raise VoxelError("mesh is not watertight; use mode='surface'")
 
     verts = mesh.vertices.astype(np.float64)
     lo = verts.reshape(-1, 3).min(axis=0)
@@ -216,30 +196,6 @@ def voxelize_mesh(mesh: TriangleMesh, resolution: int, *,
     verts_cells = (verts - origin) / cell
 
     surface = _surface_cells(verts_cells, n)
-    if mode == "surface":
-        occ = surface
-    else:
-        exterior = _exterior_fill(surface)
-        if not _is_watertight(mesh):
-            leak = _find_leak(exterior, surface, verts_cells)
-            if leak is None:
-                raise VoxelError(
-                    "mesh is not watertight and encloses no volume; "
-                    "use mode='surface'")
-            raise VoxelError(
-                f"mesh is not watertight: flood fill leaks into interior "
-                f"candidate cell {leak}; use mode='surface'")
-        occ = ~exterior
+    occ = surface if mode == "surface" else ~_exterior_fill(surface)
     return VoxelGrid(n, occ.astype(np.uint8))
 
-
-def _find_leak(exterior, surface, verts_cells):
-    """First exterior-connected cell (x-fastest order) whose center is
-    inside the surface by ray-crossing parity."""
-    n = exterior.shape[0]
-    candidates = np.argwhere(exterior.transpose(2, 1, 0))  # (iz, iy, ix) rows
-    for iz, iy, ix in candidates:
-        center = np.array([ix + 0.5, iy + 0.5, iz + 0.5])
-        if _ray_parity(center, verts_cells):
-            return (int(ix), int(iy), int(iz))
-    return None

@@ -1,5 +1,5 @@
 """Historical-shape gallery: embedding index, exact top-k text queries, and
-human-viewable voxel previews (OBJ cubes, PGM slice stacks).
+human-viewable voxel previews (OBJ cubes).
 
 A query is an exact flat search. Its distances ||q||^2 + ||y||^2 - 2<q, y>
 come from `training.pairwise_distances`, the formula training uses. The
@@ -226,30 +226,22 @@ _CORNER_INDEX = {(dx, dy, dz): dx + 2 * dy + 4 * dz
                  for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)}
 
 
-def export_preview(grid: VoxelGrid, format: str = "obj") -> bytes:
+def export_preview(grid: VoxelGrid) -> bytes:
     """OBJ: one unwelded unit cube (8 vertices, 12 triangles) per occupied
-    voxel. PGM: one binary P5 image of width N and height N*N, the z slices
-    stacked top to bottom at full intensity."""
-    if format == "obj":
-        lines = ["# rodfind voxel preview"]
-        occupied = np.argwhere(grid.occupancy == 1)
-        faces = []
-        base = 1  # OBJ indices are 1-based
-        for ix, iy, iz in occupied:
-            for dz in (0, 1):
-                for dy in (0, 1):
-                    for dx in (0, 1):
-                        lines.append(f"v {ix + dx} {iy + dy} {iz + dz}")
-            for _, tri_a, tri_b in _CUBE_FACES:
-                for tri in (tri_a, tri_b):
-                    a, b, c = (base + _CORNER_INDEX[corner] for corner in tri)
-                    faces.append(f"f {a} {b} {c}")
-            base += 8
-        lines.extend(faces)
-        return ("\n".join(lines) + "\n").encode("ascii")
-    if format == "pgm_slices":
-        n = grid.resolution
-        header = f"P5\n{n} {n * n}\n255\n".encode("ascii")
-        # x-fastest order: one image row per (y, z), the z slices stacked
-        return header + (grid.linear() * 255).astype(np.uint8).tobytes()
-    raise RetrievalError(f"unknown preview format {format!r}")
+    voxel."""
+    lines = ["# rodfind voxel preview"]
+    occupied = np.argwhere(grid.occupancy == 1)
+    faces = []
+    base = 1  # OBJ indices are 1-based
+    for ix, iy, iz in occupied:
+        for dz in (0, 1):
+            for dy in (0, 1):
+                for dx in (0, 1):
+                    lines.append(f"v {ix + dx} {iy + dy} {iz + dz}")
+        for _, tri_a, tri_b in _CUBE_FACES:
+            for tri in (tri_a, tri_b):
+                a, b, c = (base + _CORNER_INDEX[corner] for corner in tri)
+                faces.append(f"f {a} {b} {c}")
+        base += 8
+    lines.extend(faces)
+    return ("\n".join(lines) + "\n").encode("ascii")

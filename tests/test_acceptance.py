@@ -153,10 +153,10 @@ def test_criterion_06_codec_round_trips():
 
     for _ in range(100):
         mesh = random_mesh(rng, int(rng.integers(1, 30)))
-        payload = geo.write_stl(mesh, "binary")
+        payload = geo.write_stl(mesh)
         again = geo.parse_stl(payload)
         assert again == mesh
-        assert geo.write_stl(again, "binary")[84:] == payload[84:]
+        assert geo.write_stl(again)[84:] == payload[84:]
 
     import io
     rows = [ds.ManifestRow("AAA001", 'comma, "quote"; semicolon', "g/AAA001.nrrd", "train"),

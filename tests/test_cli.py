@@ -162,7 +162,7 @@ def test_voxelize_command(tmp_path):
     from rodfind import geometry as geo
 
     stl = tmp_path / "cube.stl"
-    stl.write_bytes(geo.write_stl(geo.cuboid_mesh((0, 0, 0), (8, 8, 8)), "binary"))
+    stl.write_bytes(geo.write_stl(geo.cuboid_mesh((0, 0, 0), (8, 8, 8))))
     out = tmp_path / "cube.nrrd"
     assert dispatch(["voxelize", "--stl", str(stl), "--out", str(out)]) == 0
     grid = ds.read_nrrd(out.read_bytes())
@@ -441,7 +441,7 @@ def test_config_supplies_required_options_and_rejects_unknown_keys(tmp_path, cap
     from rodfind import geometry as geo
 
     stl = tmp_path / "cube.stl"
-    stl.write_bytes(geo.write_stl(geo.cuboid_mesh((0, 0, 0), (8, 8, 8)), "binary"))
+    stl.write_bytes(geo.write_stl(geo.cuboid_mesh((0, 0, 0), (8, 8, 8))))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"stl": str(stl), "out": str(tmp_path / "cube.nrrd"),
                                   "mode": "surface"}))

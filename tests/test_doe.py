@@ -178,6 +178,23 @@ class TestAnova:
         assert table.factor_rows[0].flag == "infinite (zero residual)"
         assert math.isinf(table.factor_rows[0].f)
 
+    # recall@1-like responses on 12 samples, whose SS are exactly 0 in exact
+    # arithmetic and slightly negative in floats
+    def test_equal_level_sums_give_zero_factor_ss(self):
+        design = doe.make_design("L9_3level", [doe.Factor("a", (0, 1, 2))])
+        ks = (12, 1, 0, 5, 7, 1, 0, 5, 8)
+        table = doe.anova(design, [100 * k / 12 for k in ks])
+        row = table.factor_rows[0]
+        assert (row.ss, row.f, row.p) == (0.0, 0.0, 1.0)
+
+    def test_exact_additive_fit_gives_zero_residual(self):
+        design = doe.make_design("L9_3level", [doe.Factor(name, (0, 1, 2))
+                                               for name in "abc"])
+        ks = (4, 6, 7, 6, 9, 11, 0, 4, 4)
+        table = doe.anova(design, [100 * k / 12 for k in ks])
+        assert table.error_row.ss == 0.0
+        assert all(row.flag == "infinite (zero residual)" for row in table.factor_rows)
+
     def test_saturated_design_flag(self):
         design = doe.make_design("full_factorial", [doe.Factor("f", (0, 1))])
         table = doe.anova(design, [1.0, 4.0])

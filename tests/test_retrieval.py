@@ -309,26 +309,12 @@ class TestQuery:
 class TestPreviews:
     def test_empty_grid_obj_has_no_vertices(self):
         grid = VoxelGrid(4, np.zeros((4, 4, 4), np.uint8))
-        data = rt.export_preview(grid, "obj").decode()
+        data = rt.export_preview(grid).decode()
         assert "v " not in data and "f " not in data
 
     def test_obj_counts_scale_with_occupancy(self):
         occ = np.zeros((4, 4, 4), np.uint8)
         occ[0, 0, 0] = occ[1, 2, 3] = occ[3, 3, 3] = 1
-        data = rt.export_preview(VoxelGrid(4, occ), "obj").decode()
+        data = rt.export_preview(VoxelGrid(4, occ)).decode()
         assert data.count("\nv ") == 8 * 3
         assert data.count("\nf ") == 12 * 3
-
-    def test_full_grid_pgm_slices(self):
-        grid = VoxelGrid(16, np.ones((16, 16, 16), np.uint8))
-        data = rt.export_preview(grid, "pgm_slices")
-        header = f"P5\n16 {16 * 16}\n255\n".encode()
-        assert data.startswith(header)
-        payload = data[len(header):]
-        assert len(payload) == 16 * 16 * 16
-        assert set(payload) == {255}
-
-    def test_unknown_format(self):
-        grid = VoxelGrid(4, np.zeros((4, 4, 4), np.uint8))
-        with pytest.raises(RetrievalError, match="unknown preview format"):
-            rt.export_preview(grid, "png")

@@ -1,4 +1,6 @@
+import json
 from functools import lru_cache
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,9 @@ class TestSchema:
 
     def test_shipped_file_holds_the_contract_the_reader_relies_on(self):
         # default_schema() reads the file as it is, so its contract lives here
+        data = json.loads(resources.files("rodfind.data")
+                          .joinpath("linking_rod_schema.json").read_text("utf-8"))
+        assert set(data) == {"root", "entities", "hole_pairs"}  # the keys it reads
         schema = default_schema()
         entity_names = [e.name for e in schema.entities]
         assert len(entity_names) == len(set(entity_names))
