@@ -17,12 +17,12 @@ spec = LinkingRodSpec(
            "second pivot hole": {"inner diameter": "medium",
                                  "outer diameter": "medium", "depth": "small"}})
 
-sizes = geo.concrete_sizes(spec)
+# build_solid derives these millimetres from the size classes itself
 print("concrete sizes (mm):")
-for key, mm in sizes.items():
+for key, mm in geo.concrete_sizes(spec).items():
     print(f"  {key[0]}.{key[1]}: {mm:.2f}")
 
-solid = geo.build_solid(spec, sizes)
+solid = geo.build_solid(spec)
 grid = geo.voxelize_solid(solid, 16)
 print(f"\noccupied voxels: {grid.occupied_count} / {16 ** 3}")
 

@@ -21,12 +21,7 @@ import numpy as np
 
 from .encoders import GRID_EDGE
 from .errors import DatasetError, ManifestError, NrrdError
-from .geometry import (
-    VoxelGrid,
-    build_solid,
-    concrete_sizes,
-    voxelize_solid,
-)
+from .geometry import VoxelGrid, build_solid, voxelize_solid
 from .taxonomy import (
     LinkingRodSpec,
     SizeClass,
@@ -444,7 +439,7 @@ def generate_variants(bases: int = 15, per_base=None, total=None, seed: int = 0,
             text = render_text(spec)
             grid = None
             if with_grids:
-                solid = build_solid(spec, concrete_sizes(spec))
+                solid = build_solid(spec)
                 grid = voxelize_solid(solid, GRID_EDGE)
             samples.append(Sample(sample_id, spec, text, grid))
     return samples

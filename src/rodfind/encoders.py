@@ -68,6 +68,7 @@ class TextEncoderConfig:
             raise EncoderError("vocab_size must be at least 2 (PAD and UNK)")
         if len(self.conv_channels) != 4:
             raise EncoderError("the text encoder has exactly four convolution layers")
+        _check_sizes(self)
 
     def layout(self):
         """(name, shape, fan_in) of every parameter in buffer order; fan_in
@@ -86,6 +87,23 @@ class TextEncoderConfig:
         return items
 
 
+def _check_sizes(config):
+    """Refuse a field below 1: every field of an encoder config is a size
+    (a width, a depth, a token count) or a tuple of sizes."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if min(value if isinstance(value, tuple) else (value,)) < 1:
+            raise EncoderError(f"{type(config).__name__}.{f.name} must be at "
+                               f"least 1, got {value!r}")
+
+
+def _check_out_dims(text_config, shape_config):
+    """Both encoders embed into one space."""
+    if text_config.out_dim != shape_config.out_dim:
+        raise EncoderError(f"text out_dim {text_config.out_dim} differs from "
+                           f"shape out_dim {shape_config.out_dim}")
+
+
 GRID_EDGE = 16  # the shape encoder reads GRID_EDGE^3 occupancy grids
 
 
@@ -101,6 +119,7 @@ class ShapeEncoderConfig:
             raise EncoderError("num_conv_layers must be between 3 and 7")
         if len(self.back_channels) != 3:
             raise EncoderError("the stride-3 stack has exactly three layers")
+        _check_sizes(self)
 
     def layer_plan(self):
         """(in_channels, out_channels, stride, pad) per convolution layer; a
@@ -180,6 +199,7 @@ def init_params(vocab_size: int, seed: int,
     if text_config.vocab_size != vocab_size:
         raise EncoderError("text_config.vocab_size disagrees with vocab_size")
     shape_config = shape_config or ShapeEncoderConfig()
+    _check_out_dims(text_config, shape_config)
     taps = f"conv{shape_config.num_conv_layers}_w"
     out = []
     for config in (text_config, shape_config):
@@ -426,6 +446,7 @@ def parse_checkpoint(stream) -> Checkpoint:
         vocab = header["vocab"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise EncoderError(f"malformed checkpoint metadata: {exc!r}") from None
+    _check_out_dims(text_config, shape_config)
     _check_vocab(vocab, text_config.vocab_size)
 
     digest = hashlib.sha256(line)

@@ -13,4 +13,4 @@ from .solids import (
 )
 from .stl import TriangleMesh, cuboid_mesh, parse_stl, write_stl
 from .voxelize import VoxelGrid, voxelize_mesh, voxelize_solid
-from .build import BAND_MIDPOINTS, SIZE_BANDS, build_solid, concrete_sizes
+from .build import build_solid, concrete_sizes

@@ -12,7 +12,7 @@ import math
 
 from ..errors import BuildError, SpecError
 from ..taxonomy import LinkingRodSpec, SizeClass, default_schema, validate_spec
-from .solids import ArcSlab, Cuboid, Cylinder, Difference, Union, solid_aabb
+from .solids import ArcSlab, Cuboid, Cylinder, Difference, Union
 
 WORKING_CUBE_MM = 64.0
 
@@ -69,23 +69,12 @@ def concrete_sizes(spec: LinkingRodSpec) -> dict[tuple[str, str], float]:
     return sizes
 
 
-def _get(sizes, entity, attr):
-    try:
-        return sizes[(entity, attr)]
-    except KeyError:
-        raise BuildError(f"missing concrete size for {entity}.{attr}") from None
-
-
 def _hub_parts(spec, sizes, entity, x):
     """Positive parts of one pivot-hole hub, unbored: `build_solid` cuts
     the hole's bore through all of them at once."""
-    outer = _get(sizes, entity, "outer diameter")
-    inner = _get(sizes, entity, "inner diameter")
-    depth = _get(sizes, entity, "depth")
-    if inner >= outer:
-        raise BuildError(
-            f"{entity}: inner diameter ({inner:g} mm) must be smaller than "
-            f"outer diameter ({outer:g} mm)")
+    outer = sizes[(entity, "outer diameter")]
+    inner = sizes[(entity, "inner diameter")]
+    depth = sizes[(entity, "depth")]
     center = (x, 0.0, 0.0)
     bodies = [Cylinder(center, outer / 2.0, depth, axis=2)]
     struct = spec.structure_of(entity)
@@ -93,23 +82,19 @@ def _hub_parts(spec, sizes, entity, x):
         # separate bushing: a taller concentric sleeve proud of the hub face
         bodies.append(Cylinder(center, 0.75 * outer / 2.0, 1.8 * depth, axis=2))
     if struct.get("additional feature") == "inner edge convex":
-        convex = _get(sizes, entity, "inner edge convex thickness")
+        convex = sizes[(entity, "inner edge convex thickness")]
         ring_r = inner / 2.0 + 0.4 * (outer - inner) / 2.0
         bodies.append(Cylinder(center, ring_r, depth + 2.0 * convex, axis=2))
     return bodies
 
 
 def _shaft_body(spec, sizes, length):
-    thickness = _get(sizes, "shaft", "thickness")
+    thickness = sizes[("shaft", "thickness")]
     if spec.structure_of("shaft")["main structure"] == "cuboid":
-        width = _get(sizes, "shaft", "width")
+        width = sizes[("shaft", "width")]
         return Cuboid((0.0, 0.0, 0.0), (length, width, thickness)), None
     # the schema's other shaft structure: an arc-shaped vertical slab
-    radius = _get(sizes, "shaft", "radius")
-    if radius < length / 2.0:
-        raise BuildError(
-            f"arc radius ({radius:g} mm) must be at least half the shaft "
-            f"length ({length:g} mm)")
+    radius = sizes[("shaft", "radius")]
     zc = -math.sqrt(radius ** 2 - (length / 2.0) ** 2)
     theta_right = math.atan2(-zc, length / 2.0)
     theta_left = math.atan2(-zc, -length / 2.0)
@@ -127,9 +112,9 @@ def _lightening_hole(spec, sizes, shaft, apex, length):
         return None
     axis = {"x direction": 0, "y direction": 1,
             "z direction": 2}[struct["hole structure direction"]]
-    thickness = _get(sizes, "shaft", "thickness")
+    thickness = sizes[("shaft", "thickness")]
     if isinstance(shaft, Cuboid):
-        width = _get(sizes, "shaft", "width")
+        width = sizes[("shaft", "width")]
         spans = {0: length, 1: width, 2: thickness}
         cross = [spans[a] for a in (0, 1, 2) if a != axis]
         r = 0.35 * min(cross)
@@ -143,8 +128,11 @@ def _lightening_hole(spec, sizes, shaft, apex, length):
     return Cylinder(apex, r, spans[axis], axis=axis)
 
 
-def build_solid(spec: LinkingRodSpec, sizes: dict[tuple[str, str], float]):
-    """Assemble the CSG tree for a valid spec with concrete mm sizes.
+def build_solid(spec: LinkingRodSpec):
+    """The CSG tree of a spec, in the millimetres of its size classes
+    (`concrete_sizes`); an invalid spec raises SpecError. The shipped tables
+    keep every valid spec's bores inside their hubs, its arc radius at least
+    half its shaft and its solid inside the working cube.
 
     Shape: difference(union(hub bodies..., shaft body), bore, bore[, hole]);
     each bore runs through the whole working cube, so it opens its pivot
@@ -154,22 +142,19 @@ def build_solid(spec: LinkingRodSpec, sizes: dict[tuple[str, str], float]):
     report = validate_spec(spec)
     if not report.ok:
         raise SpecError("cannot build an invalid spec", report.violations)
-
-    for key, value in sizes.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise BuildError(f"size {key} must be positive and finite, got {value}")
+    sizes = concrete_sizes(spec)
 
     # a valid spec names exactly one full pivot-hole pair
     left, right = default_schema().hole_pair(spec.entity_names())[1]
 
-    length = _get(sizes, "shaft", "length")
+    length = sizes[("shaft", "length")]
     positions = {left: -length / 2.0, right: length / 2.0}
 
     positives = []
     cuts = []
     for entity in (left, right):
         positives.extend(_hub_parts(spec, sizes, entity, positions[entity]))
-        inner = _get(sizes, entity, "inner diameter")
+        inner = sizes[(entity, "inner diameter")]
         cuts.append(Cylinder((positions[entity], 0.0, 0.0), inner / 2.0,
                              _CUT_HEIGHT, axis=2))
 
@@ -180,11 +165,4 @@ def build_solid(spec: LinkingRodSpec, sizes: dict[tuple[str, str], float]):
     if hole is not None:
         cuts.append(hole)
 
-    solid = Difference((Union(tuple(positives)), *cuts))
-
-    extent = solid_aabb(solid).extent
-    if max(extent) > WORKING_CUBE_MM:
-        raise BuildError(
-            f"solid extent {tuple(round(e, 2) for e in extent)} mm exceeds the "
-            f"{WORKING_CUBE_MM:g} mm working cube")
-    return solid
+    return Difference((Union(tuple(positives)), *cuts))

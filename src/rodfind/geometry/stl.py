@@ -15,6 +15,7 @@ _RECORD = np.dtype([("normal", "<f4", (3,)),
                     ("vertices", "<f4", (3, 3)),
                     ("attr", "<u2")])
 assert _RECORD.itemsize == 50
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -98,9 +99,12 @@ def _parse_ascii(data: bytes) -> TriangleMesh:
     def take_float():
         lineno, word = take()
         try:
-            return float(word)
+            value = float(word)
         except ValueError:
             raise StlError(f"line {lineno}: expected a number, got {word!r}") from None
+        if not abs(value) <= _FLOAT32_MAX:  # a float32 copy would be inf or NaN
+            raise StlError(f"line {lineno}: {word!r} is not a finite float32")
+        return value
 
     take("solid")
     # optional solid name: consume words until 'facet' or 'endsolid'

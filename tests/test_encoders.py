@@ -109,6 +109,11 @@ class TestInit:
         fc = rng.uniform(-bound, bound, size=(128, 256)).astype(np.float32)
         assert np.array_equal(sp.arrays["fc_w"], fc)
 
+    def test_encoders_of_different_out_dims_refused(self):
+        with pytest.raises(EncoderError, match="text out_dim 4 differs from shape out_dim 3"):
+            enc.init_params(8, 0, enc.TextEncoderConfig(vocab_size=8, **TINY_TEXT),
+                            enc.ShapeEncoderConfig(**{**TINY_SHAPE, "out_dim": 3}))
+
     def test_weight_bounds_follow_fan_in(self):
         tp, _ = enc.init_params(100, seed=3)
         bound = np.sqrt(1.0 / (128 * 3))
@@ -362,6 +367,16 @@ MALFORMED = {
     "non-JSON header": lambda data: b"{format" + data[data.index(b"\n"):],
     "version 1": _edit_header(lambda h: h.update(version=1)),
     "no version": _edit_header(lambda h: h.pop("version")),
+    "negative text size": _edit_header(lambda h: h["text_config"].update(embed_dim=-1)),
+    "negative shape size": _edit_header(
+        lambda h: h["shape_config"].update(front_channels=-2)),
+    "max_len 0": _edit_header(lambda h: h["text_config"].update(max_len=0)),
+    "negative max_len": _edit_header(lambda h: h["text_config"].update(max_len=-5)),
+    # shape out_dim 4 -> 3, cut by the fc row and bias entry it no longer
+    # holds, so the buffers fit the header and only the mismatch is wrong
+    "out_dims differ": lambda data: _edit_header(
+        lambda h: h["shape_config"].update(out_dim=3))(data)[
+            :-4 * (TINY_SHAPE["back_channels"][-1] + 1)],
 }
 
 

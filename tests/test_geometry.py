@@ -5,7 +5,7 @@ import pytest
 
 from rodfind import LinkingRodSpec
 from rodfind import geometry as geo
-from rodfind.errors import BuildError, SpecError, VoxelError
+from rodfind.errors import SpecError, VoxelError
 from rodfind.geometry import voxelize
 from rodfind.geometry.voxelize import _exterior_fill
 
@@ -187,7 +187,7 @@ def hub_mesh(segments, outer=10.0, inner=5.0, height=8.0):
                             tris, None)
 
 
-class TestRayParity:
+class TestWatertight:
     def test_hub_is_watertight_and_closed(self):
         hub = hub_mesh(16)
         assert voxelize._is_watertight(hub)
@@ -196,7 +196,7 @@ class TestRayParity:
 
     # single-triangle holes in the outer wall, the inner wall (two) and the bottom
     @pytest.mark.parametrize("drop", [0, 50, 115, 40])
-    def test_leaky_hub_reports_the_reference_leak(self, drop):
+    def test_leaky_hub_is_refused(self, drop):
         hub = hub_mesh(16)
         keep = np.arange(len(hub)) != drop
         leaky = geo.TriangleMesh(hub.normals[keep], hub.vertices[keep], hub.attrs[keep])
@@ -309,8 +309,7 @@ class TestArcSlab:
 
 class TestBuildSolid:
     def test_tree_structure_for_plain_cuboid_rod(self, cuboid_rod_spec):
-        sizes = geo.concrete_sizes(cuboid_rod_spec)
-        solid = geo.build_solid(cuboid_rod_spec, sizes)
+        solid = geo.build_solid(cuboid_rod_spec)
         assert isinstance(solid, geo.Difference)
         body, *cuts = solid.children
         assert isinstance(body, geo.Union)
@@ -322,20 +321,44 @@ class TestBuildSolid:
         assert any(isinstance(c, geo.Cuboid) for c in body.children)
 
     def test_arc_rod_builds_and_voxelizes(self, arc_rod_spec):
-        sizes = geo.concrete_sizes(arc_rod_spec)
-        solid = geo.build_solid(arc_rod_spec, sizes)
+        solid = geo.build_solid(arc_rod_spec)
         grid = geo.voxelize_solid(solid, 16)
         assert 0 < grid.occupied_count < 16 ** 3
 
-    def test_infeasible_inner_diameter(self, cuboid_rod_spec):
-        sizes = geo.concrete_sizes(cuboid_rod_spec)
-        sizes[("first pivot hole", "inner diameter")] = 99.0
-        with pytest.raises(BuildError, match="inner diameter"):
-            geo.build_solid(cuboid_rod_spec, sizes)
+    @pytest.mark.parametrize("shaft, shaft_sizes", [
+        ({"main structure": "cuboid"}, {"width": "large"}),
+        ({"main structure": "arc-shaped vertical slab", "cross section": "rectangle"},
+         {"radius": "small"}),
+    ], ids=["cuboid", "arc"])
+    def test_shipped_tables_keep_every_valid_spec_buildable(self, shaft, shaft_sizes):
+        # build_solid does not check the sizes it derives; these bounds of the
+        # tables keep every bore inside its hub, every arc closed over its
+        # shaft and every solid inside the working cube
+        from rodfind.geometry.build import (
+            BAND_MIDPOINTS, INNER_TO_OUTER, REFERENCE_MM, WORKING_CUBE_MM)
+
+        largest, smallest = max(BAND_MIDPOINTS.values()), min(BAND_MIDPOINTS.values())
+        assert INNER_TO_OUTER * largest < 1
+        assert (smallest * REFERENCE_MM[("shaft", "radius")]
+                >= largest * REFERENCE_MM[("shaft", "length")] / 2)
+        assert largest * (REFERENCE_MM[("shaft", "length")]
+                          + REFERENCE_MM[("hole", "outer diameter")]) < WORKING_CUBE_MM
+        # the worst case of those bounds: every size large but the arc's
+        # radius, both hub options on one hole
+        hole = {"inner diameter": "large", "outer diameter": "large", "depth": "large"}
+        spec = LinkingRodSpec(
+            structure={"link": {"main structure": "binary link"}, "shaft": shaft,
+                       "first pivot hole": {"type": "separate type",
+                                            "additional feature": "inner edge convex"}},
+            sizes={"shaft": {"length": "large", "thickness": "large", **shaft_sizes},
+                   "first pivot hole": {**hole, "inner edge convex thickness": "large"},
+                   "second pivot hole": hole})
+        solid = geo.build_solid(spec)
+        assert max(geo.solid_aabb(solid).extent) <= WORKING_CUBE_MM
+        assert geo.voxelize_solid(solid, 16).occupied_count > 0
 
     def test_same_inputs_same_tree(self, cuboid_rod_spec):
-        sizes = geo.concrete_sizes(cuboid_rod_spec)
-        assert geo.build_solid(cuboid_rod_spec, sizes) == geo.build_solid(cuboid_rod_spec, sizes)
+        assert geo.build_solid(cuboid_rod_spec) == geo.build_solid(cuboid_rod_spec)
 
     def test_invalid_spec_rejected(self, cuboid_rod_spec):
         broken = LinkingRodSpec(
@@ -343,12 +366,12 @@ class TestBuildSolid:
             {e: dict(a) for e, a in cuboid_rod_spec.sizes.items()
              if e != "second pivot hole"})
         with pytest.raises(SpecError):
-            geo.build_solid(broken, geo.concrete_sizes(broken))
+            geo.build_solid(broken)
 
     def test_spec_without_link_rejected(self, unlinked_three_hole_spec):
         spec = unlinked_three_hole_spec
         with pytest.raises(SpecError, match="invalid spec") as err:
-            geo.build_solid(spec, geo.concrete_sizes(spec))
+            geo.build_solid(spec)
         assert "missing mandatory entity: link" in err.value.violations
 
     def test_band_midpoints(self, cuboid_rod_spec):

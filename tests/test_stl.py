@@ -85,6 +85,15 @@ def test_ascii_error_names_line():
         parse_stl(text)
 
 
+@pytest.mark.parametrize("word", [b"1e39", b"-nan", b"inf"])
+def test_ascii_number_with_no_finite_float32_names_line(word):
+    # a float32 copy of it would overflow to inf, or is not a number
+    text = (b"solid s\n facet normal 0 0 1\n outer loop\n vertex 0 0 " + word
+            + b"\n vertex 1 0 0\n vertex 0 1 0\n endloop\n endfacet\nendsolid s\n")
+    with pytest.raises(StlError, match="line 4: .* is not a finite float32"):
+        parse_stl(text)
+
+
 def test_vertex_order_preserved():
     tri = np.array([[[3, 1, 4], [1, 5, 9], [2, 6, 5]]], dtype=np.float32)
     mesh = TriangleMesh(np.array([[0, 0, 1]], np.float32), tri, np.zeros(1, np.uint16))
