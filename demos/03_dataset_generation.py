@@ -3,8 +3,9 @@
 Run: python demos/03_dataset_generation.py
 """
 
-import io
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 from rodfind import dataset as ds
 from rodfind import parse_text
@@ -33,9 +34,15 @@ train, val = ds.split_samples(samples, 0.1, seed=7)
 print(f"\nsplit: {len(train)} train / {len(val)} val, per base:",
       dict(Counter(s.id[:3] for s in val)))
 
-buffer = io.StringIO()
 rows = [ds.ManifestRow(s.id, s.text, f"grids/{s.id}.nrrd",
                        "val" if s in val else "train") for s in samples]
-ds.write_manifest(rows, buffer)
-print("\nmanifest head:")
-print("  " + "\n  ".join(buffer.getvalue().splitlines()[:3]))
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    (out / "grids").mkdir()
+    for s, row in zip(samples, rows):
+        (out / row.nrrd_path).write_bytes(ds.write_nrrd(s.grid))
+    ds.write_manifest(ds.DatasetManifest(rows), out / "manifest.csv")
+    print("\nmanifest head:")
+    print("  " + "\n  ".join((out / "manifest.csv").read_text(encoding="utf-8")
+                             .splitlines()[:3]))
+    assert ds.read_manifest(out / "manifest.csv").rows == rows

@@ -293,12 +293,17 @@ def _cmd_tune(args) -> int:
 
     def configs(assignment):
         settings = dict(_TRAIN_DEFAULTS)
+        named = {}  # option -> the factor that set it
         for name, value in assignment.items():
             key = _FACTOR_ALIASES.get(name.lower())
             if key is None:
                 raise ValueError(f"design factor {name!r} is not tunable")
+            if key in named:
+                raise ValueError(f"design factors {named[key]!r} and {name!r} "
+                                 f"both set {key}")
             settings[key] = value
-        layers = int(settings.pop("layers"))
+            named[key] = name
+        layers = settings.pop("layers")
         return (tr.TrainerConfig(seed=args.seed, **settings),
                 enc.ShapeEncoderConfig(num_conv_layers=layers))
 

@@ -8,7 +8,6 @@ values built here (variant specs, token sequences) are not re-checked.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 import warnings
@@ -194,71 +193,54 @@ def _check_rows(rows):
             raise ManifestError(f"row {row.id!r}: unknown split tag {row.split!r}")
 
 
-def write_manifest(manifest: DatasetManifest | list, dest) -> None:
-    """Write rows as CSV (UTF-8, LF, RFC quoting); non-empty metadata goes to
-    a `<dest>.meta.json` sidecar when dest is a path."""
-    if isinstance(manifest, DatasetManifest):
-        rows, meta = manifest.rows, manifest.meta
-    else:
-        rows, meta = list(manifest), {}
-    _check_rows(rows)
-
-    def emit(stream):
+def write_manifest(manifest: DatasetManifest, path) -> None:
+    """Write the rows to `path` as CSV (UTF-8, LF, RFC quoting); non-empty
+    metadata goes to a `<path>.meta.json` sidecar."""
+    _check_rows(manifest.rows)
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)
-        for row in rows:
-            writer.writerow([row.id, row.text, row.nrrd_path, row.split])
-
-    if hasattr(dest, "write"):
-        emit(dest)
-        return
-    path = Path(dest)
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        emit(stream)
-    if meta:
+        writer.writerows([row.id, row.text, row.nrrd_path, row.split]
+                         for row in manifest.rows)
+    if manifest.meta:
         path.with_name(path.name + ".meta.json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            json.dumps(manifest.meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def read_manifest(source, check_paths: bool = True) -> DatasetManifest:
-    if hasattr(source, "read"):
-        stream = source
-        base_dir = Path(".")
-        meta_path = None
-    else:
-        path = Path(source)
-        stream = open(path, encoding="utf-8", newline="")
-        base_dir = path.parent
-        meta_path = path.with_name(path.name + ".meta.json")
-    try:
+def read_manifest(path) -> DatasetManifest:
+    """The manifest at `path` and its sidecar's metadata. Every row's grid
+    file must exist, relative to the manifest's directory; malformed CSV,
+    rows or metadata raise ManifestError."""
+    path = Path(path)
+    with open(path, encoding="utf-8", newline="") as stream:
         reader = csv.reader(stream)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError("manifest is empty") from None
-        if tuple(header) != MANIFEST_COLUMNS:
-            raise ManifestError(
-                f"bad manifest header {header}; expected {list(MANIFEST_COLUMNS)}")
-        rows = []
-        for record in reader:
-            if len(record) != 4:
-                raise ManifestError(f"manifest row has {len(record)} fields: {record}")
-            rows.append(ManifestRow(*record))
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"manifest is not UTF-8: {exc}") from None
-    finally:
-        if stream is not source:
-            stream.close()
+            header = next(reader, None)
+            if header is None:
+                raise ManifestError("manifest is empty")
+            if tuple(header) != MANIFEST_COLUMNS:
+                raise ManifestError(
+                    f"bad manifest header {header}; expected {list(MANIFEST_COLUMNS)}")
+            rows = []
+            for record in reader:
+                if len(record) != 4:
+                    raise ManifestError(f"manifest row has {len(record)} fields: {record}")
+                rows.append(ManifestRow(*record))
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"manifest is not UTF-8: {exc}") from None
+        except csv.Error as exc:
+            raise ManifestError(f"manifest line {reader.line_num}: {exc}") from None
 
     _check_rows(rows)
-    if check_paths:
-        missing = [r.nrrd_path for r in rows if not (base_dir / r.nrrd_path).exists()]
-        if missing:
-            raise ManifestError(
-                f"{len(missing)} grid file(s) missing: {missing[:5]}"
-                + ("..." if len(missing) > 5 else ""))
+    missing = [r.nrrd_path for r in rows if not (path.parent / r.nrrd_path).exists()]
+    if missing:
+        raise ManifestError(
+            f"{len(missing)} grid file(s) missing: {missing[:5]}"
+            + ("..." if len(missing) > 5 else ""))
     meta = {}
-    if meta_path is not None and meta_path.exists():
+    meta_path = path.with_name(path.name + ".meta.json")
+    if meta_path.exists():
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError

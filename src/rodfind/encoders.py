@@ -42,8 +42,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,13 +90,17 @@ class TextEncoderConfig:
 
 
 def _check_sizes(config):
-    """Refuse a field below 1: every field of an encoder config is a size
-    (a width, a depth, a token count) or a tuple of sizes."""
+    """Refuse a field that is not an integer of at least 1: every field of an
+    encoder config is a size (a width, a depth, a token count) or a tuple of
+    sizes."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if min(value if isinstance(value, tuple) else (value,)) < 1:
-            raise EncoderError(f"{type(config).__name__}.{f.name} must be at "
-                               f"least 1, got {value!r}")
+        sizes = value if isinstance(value, tuple) else (value,)
+        # a Python or numpy integer; a bool is not a size
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+                   for v in sizes):
+            raise EncoderError(f"{type(config).__name__}.{f.name} must be an "
+                               f"integer of at least 1, got {value!r}")
 
 
 def _check_out_dims(text_config, shape_config):
@@ -422,8 +428,9 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def parse_checkpoint(stream) -> Checkpoint:
-    """Read `checkpoint_bytes` output from a binary stream (an open file, or
-    bytes wrapped in `io.BytesIO`); malformed input raises EncoderError.
+    """Read `checkpoint_bytes` output from a seekable binary stream (an open
+    file, or bytes wrapped in `io.BytesIO`); malformed input raises
+    EncoderError.
 
     The header line is read first, then each encoder's buffer straight into
     its array, hashing every byte on the way for the fingerprint, so the
@@ -449,19 +456,25 @@ def parse_checkpoint(stream) -> Checkpoint:
     _check_out_dims(text_config, shape_config)
     _check_vocab(vocab, text_config.vocab_size)
 
+    # the header's sizes are checked against the bytes left before any
+    # buffer is allocated, so no header can ask for more memory than the file
+    start = stream.tell()
+    left = stream.seek(0, io.SEEK_END) - start
+    stream.seek(start)
     digest = hashlib.sha256(line)
     loaded = []
     for owner, config in (("text", text_config), ("shape", shape_config)):
-        flat = np.empty(_size(config), dtype="<f4")
-        got = stream.readinto(flat)
-        if got < flat.nbytes:
+        nbytes = 4 * _size(config)
+        if left < nbytes:
             raise EncoderError(f"checkpoint blob truncated in the {owner} buffer: "
-                               f"{got} of its {flat.nbytes} bytes")
+                               f"{left} of its {nbytes} bytes")
+        left -= nbytes
+        flat = np.empty(nbytes // 4, dtype="<f4")
+        stream.readinto(flat)
         digest.update(flat)
         loaded.append(Params(config, flat.astype(np.float32, copy=False)))
-    extra = len(stream.read())
-    if extra:
-        raise EncoderError(f"checkpoint has {extra} bytes after its last parameter")
+    if left:
+        raise EncoderError(f"checkpoint has {left} bytes after its last parameter")
     return Checkpoint(*loaded, vocab, header.get("meta", {}), digest.hexdigest())
 
 

@@ -55,7 +55,8 @@ class EncoderError(RodfindError):
 
 
 class TrainingError(RodfindError):
-    """Training aborted (non-finite loss, empty batch, bad config)."""
+    """Training or evaluation refused its input (bad config, too few
+    samples, malformed distances or embeddings)."""
 
 
 class DesignError(RodfindError):

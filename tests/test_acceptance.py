@@ -137,7 +137,7 @@ def test_criterion_05_voxelizer_oracle():
               f"exact on 100 pairs, in {elapsed:.1f} s")
 
 
-def test_criterion_06_codec_round_trips():
+def test_criterion_06_codec_round_trips(tmp_path):
     rng = np.random.default_rng(66)
     for _ in range(100):
         n = 16
@@ -158,12 +158,13 @@ def test_criterion_06_codec_round_trips():
         assert again == mesh
         assert geo.write_stl(again)[84:] == payload[84:]
 
-    import io
     rows = [ds.ManifestRow("AAA001", 'comma, "quote"; semicolon', "g/AAA001.nrrd", "train"),
             ds.ManifestRow("AAB002", "plain text", "g/AAB002.nrrd", "val")]
-    buf = io.StringIO()
-    ds.write_manifest(rows, buf)
-    back_rows = ds.read_manifest(io.StringIO(buf.getvalue()), check_paths=False).rows
+    (tmp_path / "g").mkdir()
+    for row in rows:  # the reader checks that each row's grid file exists
+        (tmp_path / row.nrrd_path).write_bytes(b"")
+    ds.write_manifest(ds.DatasetManifest(rows), tmp_path / "manifest.csv")
+    back_rows = ds.read_manifest(tmp_path / "manifest.csv").rows
     assert [r.__dict__ for r in back_rows] == [r.__dict__ for r in rows]
     report(6, "NRRD and binary STL bit-stable on 100 grids/meshes, CSV exact")
 

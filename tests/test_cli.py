@@ -415,6 +415,57 @@ def test_tune_refuses_a_bad_level_before_any_row_trains(workspace, tmp_path, cap
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("factor, levels, message", [
+    ("batch size", [2, 3, 2.5], "batch_size must be an integer, got 2.5"),
+    ("epoch", [1, 2, 1.5], "epochs must be an integer, got 1.5"),
+    ("layers", [5, 6, 3.5], "num_conv_layers must be an integer of at least 1, got 3.5"),
+], ids=["batch size", "epoch", "layers"])
+def test_tune_refuses_a_fractional_size_level_before_any_row_trains(
+        workspace, tmp_path, capsys, monkeypatch, factor, levels, message):
+    from types import SimpleNamespace
+
+    from rodfind import training as tr
+
+    _, data, _, _ = workspace
+    calls = []
+
+    def recorded_fit(train, val, config, shape_config):
+        calls.append(config)
+        return SimpleNamespace(log=[SimpleNamespace(val_recall1=0.5)])
+
+    monkeypatch.setattr(tr, "fit", recorded_fit)
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"kind": "L9_3level", "factors": [
+        {"name": factor, "levels": levels},
+        {"name": "learning rate", "levels": [1e-4, 1e-3, 1e-2]}]}))
+    assert dispatch(["tune", "--manifest", str(data / "manifest.csv"),
+                     "--design", str(design), "--out", str(tmp_path / "report.csv"),
+                     "--seed", "5"]) == 2
+    # row 7 is the first with the fractional level
+    assert calls == []
+    err = capsys.readouterr().err
+    assert f"failed on row 7 ({{'{factor}': {levels[2]}, 'learning rate': 0.0001}})" in err
+    assert message in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_tune_refuses_two_factors_for_one_option(workspace, tmp_path, capsys, monkeypatch):
+    from rodfind import training as tr
+
+    _, data, _, _ = workspace
+    calls = []
+    monkeypatch.setattr(tr, "fit", lambda *args: calls.append(args))
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"kind": "full_factorial", "factors": [
+        {"name": "epoch", "levels": [1, 2]}, {"name": "epochs", "levels": [3, 4]}]}))
+    assert dispatch(["tune", "--manifest", str(data / "manifest.csv"),
+                     "--design", str(design), "--out", str(tmp_path / "report.csv"),
+                     "--seed", "5"]) == 2
+    assert calls == []
+    assert "design factors 'epoch' and 'epochs' both set epochs" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_tune_has_no_budget_option(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"budget": 9}))

@@ -1,4 +1,3 @@
-import io
 import itertools
 from collections import Counter
 
@@ -228,62 +227,70 @@ class TestManifest:
         return [ds.ManifestRow("AAA001", "text one", "grids/AAA001.nrrd", "train"),
                 ds.ManifestRow("AAA002", "text, with comma; and semicolon", "grids/AAA002.nrrd", "val")]
 
-    def test_two_rows_and_header(self):
-        buf = io.StringIO()
-        ds.write_manifest(self.rows(), buf)
-        lines = buf.getvalue().splitlines()
+    def write(self, directory, meta=None):
+        """The rows' manifest under `directory`, with their grid files."""
+        (directory / "grids").mkdir()
+        for row in self.rows():
+            (directory / row.nrrd_path).write_bytes(b"")
+        path = directory / "manifest.csv"
+        ds.write_manifest(ds.DatasetManifest(self.rows(), meta or {}), path)
+        return path
+
+    def test_two_rows_and_header(self, tmp_path):
+        lines = self.write(tmp_path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "id,text,nrrd_path,split"
         assert len(lines) == 3
 
-    def test_quoted_text_round_trips(self):
-        buf = io.StringIO()
-        ds.write_manifest(self.rows(), buf)
-        back = ds.read_manifest(io.StringIO(buf.getvalue()), check_paths=False)
+    def test_quoted_text_round_trips(self, tmp_path):
+        path = self.write(tmp_path)
+        back = ds.read_manifest(path)
         assert [r.text for r in back.rows] == [r.text for r in self.rows()]
-        assert '"' in buf.getvalue()  # the comma forced quoting
+        assert '"' in path.read_text(encoding="utf-8")  # the comma forced quoting
 
-    def test_duplicate_id_rejected(self):
+    def test_duplicate_id_rejected(self, tmp_path):
         rows = self.rows()
         rows[1].id = rows[0].id
         with pytest.raises(ManifestError, match="duplicate"):
-            ds.write_manifest(rows, io.StringIO())
+            ds.write_manifest(ds.DatasetManifest(rows), tmp_path / "manifest.csv")
 
-    def test_unknown_split_rejected(self):
+    def test_unknown_split_rejected(self, tmp_path):
         rows = self.rows()
         rows[0].split = "test"
         with pytest.raises(ManifestError, match="split"):
-            ds.write_manifest(rows, io.StringIO())
+            ds.write_manifest(ds.DatasetManifest(rows), tmp_path / "manifest.csv")
 
     def test_dangling_paths_listed(self, tmp_path):
         path = tmp_path / "manifest.csv"
-        ds.write_manifest(self.rows(), path)
+        ds.write_manifest(ds.DatasetManifest(self.rows()), path)
         with pytest.raises(ManifestError, match="AAA001.nrrd"):
             ds.read_manifest(path)
 
     def test_file_round_trip_with_meta(self, tmp_path):
-        (tmp_path / "grids").mkdir()
-        for row in self.rows():
-            (tmp_path / row.nrrd_path).write_bytes(b"")
-        path = tmp_path / "manifest.csv"
-        ds.write_manifest(ds.DatasetManifest(self.rows(), {"seed": 7, "resolution": 16}), path)
-        back = ds.read_manifest(path)
+        back = ds.read_manifest(self.write(tmp_path, {"seed": 7, "resolution": 16}))
         assert back.meta == {"seed": 7, "resolution": 16}
         assert [r.__dict__ for r in back.rows] == [r.__dict__ for r in self.rows()]
 
     def test_non_utf8_manifest_is_manifest_error(self, tmp_path):
-        path = tmp_path / "manifest.csv"
-        path.write_bytes(b"id,text,nrrd_path,split\nAAA001,caf\xe9,grids/a.nrrd,train\n")
+        path = self.write(tmp_path)
+        path.write_bytes(b"id,text,nrrd_path,split\nAAA001,caf\xe9,grids/AAA001.nrrd,train\n")
         with pytest.raises(ManifestError, match="UTF-8"):
-            ds.read_manifest(path, check_paths=False)
+            ds.read_manifest(path)
+
+    def test_oversized_field_is_manifest_error_naming_its_line(self, tmp_path):
+        # past the csv module's field size limit (131,072 characters)
+        path = self.write(tmp_path)
+        with open(path, "a", encoding="utf-8") as stream:
+            stream.write(f"AAA003,{'x' * 200_000},grids/AAA001.nrrd,train\n")
+        with pytest.raises(ManifestError, match="manifest line 4: field larger"):
+            ds.read_manifest(path)
 
     @pytest.mark.parametrize("sidecar", [b'{"seed": 7', b"\xff{}", b"[1, 2]"],
                              ids=["not-json", "not-utf8", "not-an-object"])
     def test_bad_sidecar_is_manifest_error(self, tmp_path, sidecar):
-        path = tmp_path / "manifest.csv"
-        ds.write_manifest(self.rows(), path)
+        path = self.write(tmp_path)
         (tmp_path / "manifest.csv.meta.json").write_bytes(sidecar)
         with pytest.raises(ManifestError, match="meta.json"):
-            ds.read_manifest(path, check_paths=False)
+            ds.read_manifest(path)
 
 
 class TestSplit:

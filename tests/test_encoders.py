@@ -178,6 +178,28 @@ class TestShapeConfig:
             enc.ShapeEncoderConfig(num_conv_layers=8)
 
 
+NOT_A_SIZE = {
+    "float depth": (enc.ShapeEncoderConfig, {"num_conv_layers": 3.5}),
+    "float width": (enc.TextEncoderConfig, {"vocab_size": 8, "embed_dim": 2.5}),
+    "float in a tuple": (enc.TextEncoderConfig,
+                         {"vocab_size": 8, "conv_channels": (5, 5, 5.5, 7)}),
+    "bool": (enc.TextEncoderConfig, {"vocab_size": 8, "max_len": True}),
+}
+
+
+@pytest.mark.parametrize("cls, fields", NOT_A_SIZE.values(), ids=NOT_A_SIZE.keys())
+def test_config_size_that_is_not_an_integer_refused(cls, fields):
+    name = list(fields)[-1]
+    with pytest.raises(EncoderError, match=f"{cls.__name__}.{name} must be an integer"):
+        cls(**fields)
+
+
+def test_config_takes_numpy_integer_sizes():
+    config = enc.ShapeEncoderConfig(num_conv_layers=np.int64(5),
+                                    back_channels=(np.int32(3), 4, 5))
+    assert len(config.layer_plan()) == 5
+
+
 class TestForward:
     def test_text_shapes_norms_and_determinism(self):
         tp, _ = enc.init_params(30, seed=5)
@@ -522,6 +544,19 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert checkpoint.fingerprint == hashlib.sha256(path.read_bytes()).hexdigest()
         assert peak < 1.25 * size, f"peak {peak} bytes for a {size}-byte file"
+
+    @pytest.mark.parametrize("owner, change", [
+        ("text", lambda h: h["text_config"].update(embed_dim=10**12)),
+        ("text", lambda h: h["text_config"].update(gru_hidden=10**9)),
+        ("shape", lambda h: h["shape_config"].update(front_channels=10**7)),
+    ], ids=["embed_dim 10**12", "gru_hidden 10**9", "front_channels 10**7"])
+    def test_parameter_count_past_the_file_refused_before_allocating(self, owner, change):
+        # numpy would refuse these buffers with its own MemoryError or
+        # "array is too big"; the reader compares their bytes with the file's
+        data = enc.checkpoint_bytes(*tiny_params(dtype=np.float32), words(8), {})
+        with pytest.raises(EncoderError, match=(
+                rf"truncated in the {owner} buffer: \d+ of its \d+ bytes$")):
+            parse(_edit_header(change)(data))
 
     @pytest.mark.parametrize("extra", [b"\0", b"trailing junk", bytes(4)],
                              ids=["one-byte", "text", "one-float"])

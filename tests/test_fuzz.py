@@ -1,8 +1,9 @@
 """Every reader of a file format refuses bad bytes with its own error type.
 
 Each codec's own output, changed by one byte (substituted, deleted or
-inserted), goes to its reader, which must return a value or raise a
-RodfindError subclass: never numpy's, json's or struct's own exceptions.
+inserted), goes to its reader, which must return a value or raise its own
+RodfindError subclass: never numpy's, json's, csv's or struct's own
+exceptions, nor another codec's error.
 """
 
 import io
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from rodfind import dataset as ds
 from rodfind import encoders as enc
 from rodfind import retrieval as rt
-from rodfind.errors import RodfindError
+from rodfind.errors import (EncoderError, ManifestError, NrrdError, RetrievalError,
+                             StlError)
 from rodfind.geometry import VoxelGrid, parse_stl, write_stl
 
 from conftest import random_mesh
@@ -68,27 +70,45 @@ def one_byte_changed(draw, data):
     return data[:at] + new + data[at + (edit == "substitute"):]
 
 
+def manifest_bytes(path):
+    """A manifest at `path`, its sidecar and the grid files its rows name."""
+    rows = [ds.ManifestRow("AAA001", 'comma, "quote"; semicolon', "g/AAA001.nrrd", "train"),
+            ds.ManifestRow("AAB002", "plain text", "g/AAB002.nrrd", "val")]
+    (path.parent / "g").mkdir()
+    for row in rows:
+        (path.parent / row.nrrd_path).write_bytes(nrrd_bytes())
+    ds.write_manifest(ds.DatasetManifest(rows, {"seed": 7}), path)
+    return path.read_bytes()
+
+
+def read_manifest_bytes(path, data):
+    path.write_bytes(data)
+    return ds.read_manifest(path)
+
+
 def load_index_bytes(path, data):
     path.write_bytes(data)
     return rt.load_index(path)
 
 
-# name: (the codec's output, written at a path if it needs one; its reader)
+# name: (the codec's output, written at a path if it needs one; its reader;
+# the error it refuses bad bytes with)
 READERS = {
-    "nrrd": (lambda _: nrrd_bytes(), lambda _, data: ds.read_nrrd(data)),
+    "nrrd": (lambda _: nrrd_bytes(), lambda _, data: ds.read_nrrd(data), NrrdError),
     "checkpoint": (lambda _: checkpoint_bytes(),
-                   lambda _, data: enc.parse_checkpoint(io.BytesIO(data))),
-    "index": (index_bytes, load_index_bytes),
-    "binary stl": (lambda _: binary_stl_bytes(), lambda _, data: parse_stl(data)),
-    "ascii stl": (lambda _: ascii_stl_bytes(), lambda _, data: parse_stl(data)),
+                   lambda _, data: enc.parse_checkpoint(io.BytesIO(data)), EncoderError),
+    "index": (index_bytes, load_index_bytes, RetrievalError),
+    "manifest": (manifest_bytes, read_manifest_bytes, ManifestError),
+    "binary stl": (lambda _: binary_stl_bytes(), lambda _, data: parse_stl(data), StlError),
+    "ascii stl": (lambda _: ascii_stl_bytes(), lambda _, data: parse_stl(data), StlError),
 }
 
 
 @pytest.mark.parametrize("name", READERS)
 def test_reader_refuses_one_changed_byte_with_its_own_error(name, tmp_path_factory):
-    # load_index reads a path, so every mutant overwrites one file
+    # load_index and read_manifest read a path, so every mutant overwrites one file
     path = tmp_path_factory.mktemp("mutants") / "mutant"
-    write, read = READERS[name]
+    write, read, error = READERS[name]
     data = write(path)
     read(path, data)  # the unchanged bytes read back
 
@@ -97,7 +117,7 @@ def test_reader_refuses_one_changed_byte_with_its_own_error(name, tmp_path_facto
     def check(mutant):
         try:
             read(path, mutant)
-        except RodfindError:
+        except error:
             pass
 
     check()

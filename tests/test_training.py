@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from rodfind import dataset as ds
 from rodfind import encoders as enc
 from rodfind import training as tr
-from rodfind.errors import TrainingError
+from rodfind.errors import EncoderError, TrainingError
 
 import gradcheck as gc
 from test_encoders import perturbed_params, tiny_params
@@ -429,6 +430,29 @@ class TestFit:
     def test_config_refuses_nonpositive_epochs_and_learning_rate(self, field, value):
         with pytest.raises(TrainingError, match=field):
             tr.TrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("epochs", 1.5), ("epochs", True), ("seed", 0.5),
+        ("seed", False)])
+    def test_config_refuses_a_count_that_is_not_an_integer(self, field, value):
+        # fit would fail later in range() with a bare TypeError
+        with pytest.raises(TrainingError, match=f"{field} must be an integer"):
+            tr.TrainerConfig(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = tr.TrainerConfig(batch_size=np.int64(3), epochs=np.int32(2), seed=np.int64(1))
+        assert (cfg.batch_size, cfg.epochs, cfg.seed) == (3, 2, 1)
+
+    @pytest.mark.parametrize("learning_rate", [1e10, 1e30])
+    def test_divergence_stops_at_the_first_non_finite_embedding(self, learning_rate):
+        # text_apply and shape_apply refuse a non-finite embedding, so no
+        # non-finite distance or loss reaches the update. numpy warns of the
+        # overflows on the way, which the suite would raise as errors
+        cfg = tr.TrainerConfig(batch_size=3, learning_rate=learning_rate, epochs=3, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(EncoderError, match="non-finite embedding"):
+                tr.fit(self.corpus(), [], cfg)
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
